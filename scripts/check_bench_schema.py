@@ -17,10 +17,13 @@ field:
   ``--min-mpsoc-speedup X`` fails the gate if the largest point's
   aggregate throughput regresses below ``X`` times the 1-OCP baseline;
 * ``--baseline PATH`` compares the fresh artifact against the
-  committed one and fails on a >20% regression of the vectorized
-  path's wall-clock advantage (per-workload ``hot_speedup`` -- the
-  within-run fast/vectorized ratio, so the gate is robust to CI hosts
-  of different absolute speed).
+  committed one and fails, per workload, on a >20% regression of the
+  dispatch path: its ``speedup`` over the naive oracle (a within-run
+  ratio) dropping, or its wall-clock normalized by the in-process
+  host-speed probe (``normalized_time``: dispatch seconds per
+  ``calibration_seconds``) rising -- the latter catches a regression
+  that slows every kernel mode equally.  Both are robust to CI hosts
+  of different absolute speed.
 
 Reads stdin by default (pipe the CLI into it) or a file argument.
 A *missing* artifact file is itself a failure: the artifact is the
@@ -36,22 +39,22 @@ import os
 import sys
 
 WORKLOAD_FIELDS = (
-    "workload", "cycles", "naive_seconds", "fast_seconds",
-    "vectorized_seconds", "skip_ratio", "attribution", "perfbound",
-    "speedup", "hot_speedup", "naive_cycles_per_sec",
-    "fast_cycles_per_sec", "vectorized_cycles_per_sec",
+    "workload", "cycles", "naive_seconds", "vectorized_seconds",
+    "calibration_seconds", "speedup", "normalized_time", "skip_ratio",
+    "attribution", "perfbound", "naive_cycles_per_sec",
+    "vectorized_cycles_per_sec",
 )
 
-#: hot_speedup may shrink to this fraction of the committed baseline
-#: before the gate fails (>20% wall-clock regression of the
-#: vectorized path)
-BASELINE_TOLERANCE = 0.8
+#: a gated ratio may worsen by this share of the committed baseline
+#: before the gate fails (>20% wall-clock regression of the dispatch
+#: path)
+BASELINE_TOLERANCE = 0.2
 
-#: workloads whose idle-skip leg finishes faster than this are excluded
-#: from the baseline gate: a ratio of two sub-5ms timings is host
-#: noise, not a regression signal (the transfer-heavy workloads the
-#: vectorized lane exists for run >100ms and are always gated)
-MIN_GATE_SECONDS = 0.05
+#: workloads whose committed dispatch leg finishes faster than this are
+#: excluded from the baseline gate: a ratio involving a few-ms timing
+#: is host noise, not a regression signal (the transfer-heavy
+#: workloads the hot lane exists for are always gated)
+MIN_GATE_SECONDS = 0.01
 PERFBOUND_FIELDS = (
     "predicted_lo", "predicted_hi", "measured", "tightness", "sound",
 )
@@ -89,9 +92,9 @@ def check_workload(row: object, label: str) -> list:
     cycles = row.get("cycles")
     if not isinstance(cycles, int) or isinstance(cycles, bool) or cycles < 0:
         problems.append(f"{label}: cycles is {cycles!r}")
-    for field in ("naive_seconds", "fast_seconds", "vectorized_seconds",
-                  "skip_ratio", "speedup", "hot_speedup",
-                  "naive_cycles_per_sec", "fast_cycles_per_sec",
+    for field in ("naive_seconds", "vectorized_seconds",
+                  "calibration_seconds", "speedup", "normalized_time",
+                  "skip_ratio", "naive_cycles_per_sec",
                   "vectorized_cycles_per_sec"):
         if field in row and not _is_number(row[field]):
             problems.append(f"{label}: {field} is not a number")
@@ -186,12 +189,15 @@ def check_mpsoc(section: object, min_speedup: float | None) -> list:
 
 
 def check_against_baseline(payload: object, baseline: object) -> list:
-    """Per-workload hot_speedup regression gate vs the committed artifact.
+    """Per-workload dispatch-path regression gate vs the committed
+    artifact.
 
     Absolute wall-clock is incomparable across CI hosts, so the gate
-    compares ``hot_speedup`` (vectorized vs idle-skip within the *same*
-    run): a drop past :data:`BASELINE_TOLERANCE` means the vectorized
-    path itself got slower, whatever the host.
+    compares two host-independent ratios: ``speedup`` (naive over
+    dispatch within the *same* run) must not drop, and
+    ``normalized_time`` (dispatch time in units of the in-process
+    calibration loop) must not rise, by more than
+    :data:`BASELINE_TOLERANCE`.
     """
     problems = []
     if not isinstance(payload, dict) or not isinstance(baseline, dict):
@@ -203,30 +209,32 @@ def check_against_baseline(payload: object, baseline: object) -> list:
         if not isinstance(row, dict):
             continue
         name = row.get("workload")
-        old = row.get("hot_speedup")
-        if not _is_number(old) or old <= 0:
-            continue  # workload predates the vectorized lane
-        baseline_fast = row.get("fast_seconds")
-        if not _is_number(baseline_fast) or baseline_fast < MIN_GATE_SECONDS:
-            continue  # too short for the ratio to be timing-stable
+        committed = row.get("vectorized_seconds")
+        if not _is_number(committed) or committed < MIN_GATE_SECONDS:
+            continue  # too short for a ratio to be timing-stable
         if name not in fresh:
             problems.append(
                 f"baseline: workload {name!r} present in the committed "
                 f"artifact but missing from the fresh one"
             )
             continue
-        new = fresh[name].get("hot_speedup")
-        if not _is_number(new):
-            problems.append(
-                f"baseline: workload {name!r} lost its hot_speedup field"
-            )
-        elif new < BASELINE_TOLERANCE * old:
-            problems.append(
-                f"baseline: workload {name!r} vectorized-path speedup "
-                f"regressed {old:.2f}x -> {new:.2f}x (more than "
-                f"{100 * (1 - BASELINE_TOLERANCE):.0f}% slower than the "
-                f"committed artifact)"
-            )
+        # (field, +1 when a rise is a regression / -1 when a drop is)
+        for field, worse in (("speedup", -1), ("normalized_time", 1)):
+            old, new = row.get(field), fresh[name].get(field)
+            if not _is_number(old) or old <= 0:
+                continue  # the committed artifact predates the field
+            if not _is_number(new):
+                problems.append(
+                    f"baseline: workload {name!r} lost its {field} field"
+                )
+            elif worse * (new - old) > BASELINE_TOLERANCE * old:
+                problems.append(
+                    f"baseline: workload {name!r} dispatch-path {field} "
+                    f"regressed {old:.3f} -> {new:.3f} (more than "
+                    f"{100 * BASELINE_TOLERANCE:.0f}% "
+                    f"{'above' if worse > 0 else 'below'} the committed "
+                    f"artifact)"
+                )
     return problems
 
 
@@ -239,7 +247,7 @@ def main(argv) -> int:
     parser.add_argument("--min-mpsoc-speedup", type=float, default=None,
                         help="largest-point speedup_vs_1 floor")
     parser.add_argument("--baseline", default=None, metavar="PATH",
-                        help="committed artifact to gate hot_speedup "
+                        help="committed artifact to gate dispatch-path "
                              "regressions against")
     args = parser.parse_args(argv[1:])
 

@@ -1,26 +1,28 @@
-"""Kernel wall-clock benchmarks: naive vs idle-skip vs vectorized.
+"""Kernel wall-clock benchmarks: the naive oracle vs the dispatch path.
 
 The paper's workloads spend most of their simulated time *waiting* --
 the controller parked in ``exec_wait`` while a deep datapath crunches,
 a driver backing off on a busy device, a timeout running to its
-deadline.  The idle-skip fast path (see ``docs/SIMULATION.md``) turns
-those waits into O(1) jumps, and the vectorized dispatch table on top
-of it batches transfer-heavy streaming (FIFO slabs, whole bus bursts)
-into single array operations; this module measures how much each layer
-is actually worth, per workload, on the host at hand.
+deadline -- or streaming through one live component while the rest
+are stalled.  The dispatch path (see ``docs/SIMULATION.md``) turns the
+waits into O(1) jumps and, trace-free, batches transfer-heavy
+streaming (FIFO slabs, whole bus bursts) into single array operations;
+this module measures how much that is worth, per workload, on the host
+at hand.
 
-Each workload is run three times -- ``naive`` (every component, every
-cycle), ``fast`` (idle skipping, per-cycle dispatch) and
-``vectorized`` (idle skipping plus the dispatch table and the
-trace-free hot batch lane) -- and all three runs are required to land
-on the *same simulated cycle count* (anything else is a kernel
-equivalence bug, and the bench refuses to report numbers for it).
-Results carry wall-clock seconds, simulated cycles per host second for
-each mode, the speedup ratios and the fraction of cycles the fast path
-skipped.
+Each workload is run twice -- ``naive`` (every component, every cycle)
+and ``dispatch`` (the default kernel, trace-free hot mode) -- and both
+runs are required to land on the *same simulated cycle count*
+(anything else is a kernel equivalence bug, and the bench refuses to
+report numbers for it).  Results carry wall-clock seconds, simulated
+cycles per host second for each mode, the naive-over-dispatch
+``speedup``, the fraction of cycles the dispatch run skipped, and a
+``calibration_seconds`` host-speed probe (a fixed pure-Python loop)
+with the dispatch time expressed in its units (``normalized_time``),
+which is comparable across hosts.
 
 Each ``BenchResult`` also carries the run's cycle attribution
-(transfer / compute / control, from ``repro.obs``); naive and fast
+(transfer / compute / control, from ``repro.obs``); naive and dispatch
 runs must agree on it exactly, extending the equivalence check from
 "same final cycle" to "same cycle-by-cycle story".  Workloads that run
 a coprocessor program additionally carry the ``repro.perfbound``
@@ -44,6 +46,7 @@ import json
 import time
 from dataclasses import asdict, dataclass
 from functools import lru_cache
+from statistics import median
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .bus.protocol import AHB, AXI4, BusProtocol
@@ -66,11 +69,10 @@ IN = RAM_BASE + 0x2000
 OUT = RAM_BASE + 0x3000
 
 #: kernel configurations each workload runs under, in report order
-MODES = ("naive", "fast", "vectorized")
+MODES = ("naive", "dispatch")
 _MODE_KW: Dict[str, Dict[str, bool]] = {
-    "naive": {"idle_skip": False, "vectorized": False},
-    "fast": {"idle_skip": True, "vectorized": False},
-    "vectorized": {"idle_skip": True, "vectorized": True},
+    "naive": {"idle_skip": False},
+    "dispatch": {"idle_skip": True},
 }
 
 #: (simulated cycles, skip ratio, attribution dict or None, perfbound
@@ -84,14 +86,23 @@ WorkloadFn = Callable[
 
 @dataclass
 class BenchResult:
-    """Naive / fast / vectorized measurement of one workload."""
+    """Naive / dispatch measurement of one workload."""
 
     workload: str
     cycles: int
+    #: median wall-clock of the naive runs
     naive_seconds: float
-    fast_seconds: float
-    #: wall-clock of the vectorized (dispatch table + hot batch) run
+    #: median wall-clock of the dispatch (hot, trace-free) runs
     vectorized_seconds: float
+    #: median wall-clock of the host-speed probe (:func:`calibrate`)
+    calibration_seconds: float
+    #: dispatch-path gain over the naive oracle: the median over
+    #: rounds of each round's naive / dispatch wall-clock
+    speedup: float
+    #: dispatch wall-clock in host-speed units: the median over rounds
+    #: of each round's dispatch / calibration wall-clock
+    normalized_time: float
+    #: fraction of the dispatch run's cycles that were skipped
     skip_ratio: float
     #: cycle attribution of the run (``AttributionReport.as_dict``),
     #: ``None`` for workloads that never start a coprocessor
@@ -101,23 +112,8 @@ class BenchResult:
     perfbound: Optional[Dict[str, object]] = None
 
     @property
-    def speedup(self) -> float:
-        return self.naive_seconds / self.fast_seconds if self.fast_seconds else 0.0
-
-    @property
-    def hot_speedup(self) -> float:
-        """Vectorized gain over the idle-skip baseline."""
-        if not self.vectorized_seconds:
-            return 0.0
-        return self.fast_seconds / self.vectorized_seconds
-
-    @property
     def naive_cycles_per_sec(self) -> float:
         return self.cycles / self.naive_seconds if self.naive_seconds else 0.0
-
-    @property
-    def fast_cycles_per_sec(self) -> float:
-        return self.cycles / self.fast_seconds if self.fast_seconds else 0.0
 
     @property
     def vectorized_cycles_per_sec(self) -> float:
@@ -127,10 +123,7 @@ class BenchResult:
 
     def as_dict(self) -> Dict[str, object]:
         out = asdict(self)
-        out["speedup"] = self.speedup
-        out["hot_speedup"] = self.hot_speedup
         out["naive_cycles_per_sec"] = self.naive_cycles_per_sec
-        out["fast_cycles_per_sec"] = self.fast_cycles_per_sec
         out["vectorized_cycles_per_sec"] = self.vectorized_cycles_per_sec
         return out
 
@@ -143,7 +136,7 @@ BENCH_RAM_SIZE = 1 << 17
 @lru_cache(maxsize=None)
 def _stream_program(words: int, repeats: int, chunk: int) -> OuProgram:
     """``repeats`` x (stream in, exec, stream out); built once, reused
-    by all three mode runs (the program is immutable after ``eop``)."""
+    by every mode run (the program is immutable after ``eop``)."""
     program = OuProgram()
     for _ in range(repeats):
         (program.stream_to(1, words, chunk=chunk).execs()
@@ -249,7 +242,7 @@ def _jpeg_idct(mode: str):
 
     64 words in + 64 words out per block against an 18-cycle pipeline
     latency -- data movement dominates, which is exactly what the
-    vectorized burst/slab lane accelerates.  Runs on the AXI4 system
+    hot burst/slab lane accelerates.  Runs on the AXI4 system
     (the paper's Zynq integration target): whole-block bursts keep the
     stream dense, making this the densest-transfer configuration the
     kernel faces.
@@ -311,78 +304,111 @@ WORKLOADS: Dict[str, WorkloadFn] = {
 }
 
 
-def _measure(fn: WorkloadFn, mode: str):
-    # workloads time their own simulation region (setup and post-run
-    # bookkeeping are mode-independent and excluded)
-    return fn(mode)
+#: paired (naive, calibration, dispatch) rounds per workload.  Every
+#: reported figure is a median over the rounds, and the ratios are
+#: medians of per-round ratios, so a slow spell of the host that hits
+#: one round cancels within the pair
+ROUNDS = 15
+
+#: iterations of the calibration loop (10-20 ms on a current x86 core)
+CALIBRATION_LOOPS = 100_000
 
 
-#: fast/vectorized rounds per workload; the best (minimum) wall-clock
-#: is reported, which keeps the speedup ratios stable on noisy CI hosts
-BEST_OF = 3
+class _Probe:
+    """Stand-in component for :func:`calibrate`: one attribute update
+    per method call, the shape of the kernel's dispatch loop."""
+
+    __slots__ = ("value",)
+
+    def __init__(self) -> None:
+        self.value = 0
+
+    def tick(self, step: int) -> None:
+        self.value = (self.value * 31 + step) & 0xFFFF
+
+
+def calibrate() -> float:
+    """Host-speed probe: seconds for one pass of a fixed pure-Python
+    loop.  Dividing a dispatch time by it cancels the host's absolute
+    speed, so a regression that slows every kernel mode equally still
+    shows."""
+    probe = _Probe()
+    begin = time.perf_counter()
+    for step in range(CALIBRATION_LOOPS):
+        probe.tick(step)
+    return time.perf_counter() - begin
+
+
+def _agreed(name: str, mode: str, rounds: list) -> tuple:
+    """The simulated results of identical runs, which must agree."""
+    for other in rounds[1:]:
+        if other[:4] != rounds[0][:4]:
+            raise SimulationError(
+                f"bench {name!r}: two identical {mode} runs disagree "
+                f"-- the simulator is not deterministic"
+            )
+    return rounds[0][:4]
 
 
 def run_benchmarks(
     names: Optional[List[str]] = None,
 ) -> List[BenchResult]:
-    """Run each workload in all three modes; verify cycle equality."""
+    """Run each workload naive and dispatch; verify they agree."""
     results: List[BenchResult] = []
     for name in names or list(WORKLOADS):
         fn = WORKLOADS[name]
-        runs = {"naive": _measure(fn, "naive")}
-        for mode in ("fast", "vectorized"):
-            rounds = [_measure(fn, mode) for _ in range(BEST_OF)]
-            for other in rounds[1:]:
-                if other[:4] != rounds[0][:4]:
-                    raise SimulationError(
-                        f"bench {name!r}: two identical {mode} runs "
-                        f"disagree -- the simulator is not deterministic"
-                    )
-            runs[mode] = min(rounds, key=lambda r: r[4])
-        naive_cycles, naive_ratio, naive_att, naive_pb, naive_s = runs["naive"]
-        fast_cycles, fast_ratio, fast_att, fast_pb, fast_s = runs["fast"]
-        vec_cycles, _, vec_att, vec_pb, vec_s = runs["vectorized"]
-        for mode, cycles in (("idle-skip", fast_cycles),
-                             ("vectorized", vec_cycles)):
-            if cycles != naive_cycles:
-                raise SimulationError(
-                    f"bench {name!r}: naive finished at cycle "
-                    f"{naive_cycles} but {mode} at {cycles} -- kernel "
-                    f"equivalence violated"
-                )
+        naive_rounds, calibration_rounds, dispatch_rounds = [], [], []
+        for _ in range(ROUNDS):
+            naive_rounds.append(fn("naive"))
+            calibration_rounds.append(calibrate())
+            dispatch_rounds.append(fn("dispatch"))
+        naive_cycles, naive_ratio, naive_att, naive_pb = _agreed(
+            name, "naive", naive_rounds)
+        cycles, ratio, att, pb = _agreed(name, "dispatch", dispatch_rounds)
+        if cycles != naive_cycles:
+            raise SimulationError(
+                f"bench {name!r}: naive finished at cycle "
+                f"{naive_cycles} but dispatch at {cycles} -- kernel "
+                f"equivalence violated"
+            )
         if naive_ratio:
             raise SimulationError(
                 f"bench {name!r}: naive run reported skip ratio "
                 f"{naive_ratio} (must be 0)"
             )
-        for mode, att in (("idle-skip", fast_att), ("vectorized", vec_att)):
-            if att != naive_att:
-                raise SimulationError(
-                    f"bench {name!r}: naive and {mode} runs disagree on "
-                    f"cycle attribution -- kernel equivalence violated "
-                    f"(naive={naive_att} {mode}={att})"
-                )
-        for mode, pb in (("idle-skip", fast_pb), ("vectorized", vec_pb)):
-            if pb != naive_pb:
-                raise SimulationError(
-                    f"bench {name!r}: naive and {mode} runs disagree on "
-                    f"the cost-bound check (naive={naive_pb} {mode}={pb})"
-                )
-        if fast_pb is not None and not fast_pb["sound"]:
+        if att != naive_att:
+            raise SimulationError(
+                f"bench {name!r}: naive and dispatch runs disagree on "
+                f"cycle attribution -- kernel equivalence violated "
+                f"(naive={naive_att} dispatch={att})"
+            )
+        if pb != naive_pb:
+            raise SimulationError(
+                f"bench {name!r}: naive and dispatch runs disagree on "
+                f"the cost-bound check (naive={naive_pb} dispatch={pb})"
+            )
+        if pb is not None and not pb["sound"]:
             raise SimulationError(
                 f"bench {name!r}: measured attribution escaped the "
-                f"static cost bound ({fast_pb}) -- the cost model or "
+                f"static cost bound ({pb}) -- the cost model or "
                 f"the simulator timing drifted"
             )
         results.append(BenchResult(
             workload=name,
-            cycles=fast_cycles,
-            naive_seconds=naive_s,
-            fast_seconds=fast_s,
-            vectorized_seconds=vec_s,
-            skip_ratio=fast_ratio,
-            attribution=fast_att,
-            perfbound=fast_pb,
+            cycles=cycles,
+            naive_seconds=median(r[4] for r in naive_rounds),
+            vectorized_seconds=median(r[4] for r in dispatch_rounds),
+            calibration_seconds=median(calibration_rounds),
+            speedup=median(
+                n[4] / d[4] for n, d in zip(naive_rounds, dispatch_rounds)
+            ),
+            normalized_time=median(
+                d[4] / c
+                for d, c in zip(dispatch_rounds, calibration_rounds)
+            ),
+            skip_ratio=ratio,
+            attribution=att,
+            perfbound=pb,
         ))
     return results
 
@@ -390,8 +416,7 @@ def run_benchmarks(
 def render_results(results: List[BenchResult]) -> str:
     header = (
         f"{'workload':<14} {'cycles':>9} {'wcet':>9} {'naive s':>9} "
-        f"{'fast s':>9} {'vec s':>9} {'speedup':>8} {'hot x':>7} "
-        f"{'skip %':>7}"
+        f"{'disp s':>9} {'speedup':>8} {'skip %':>7} {'disp/cal':>9}"
     )
     lines = [header, "-" * len(header)]
     for r in results:
@@ -400,9 +425,9 @@ def render_results(results: List[BenchResult]) -> str:
             wcet = str(r.perfbound["predicted_hi"])
         lines.append(
             f"{r.workload:<14} {r.cycles:>9} {wcet:>9} "
-            f"{r.naive_seconds:>9.3f} {r.fast_seconds:>9.3f} "
-            f"{r.vectorized_seconds:>9.3f} {r.speedup:>7.1f}x "
-            f"{r.hot_speedup:>6.1f}x {100 * r.skip_ratio:>6.1f}"
+            f"{r.naive_seconds:>9.3f} {r.vectorized_seconds:>9.3f} "
+            f"{r.speedup:>7.1f}x {100 * r.skip_ratio:>6.1f} "
+            f"{r.normalized_time:>9.3f}"
         )
     return "\n".join(lines)
 
@@ -554,7 +579,7 @@ def run_mpsoc_sweep(
             if naive_cycles != cycles:
                 raise SimulationError(
                     f"mpsoc sweep: naive kernel finished at cycle "
-                    f"{naive_cycles} but idle-skip at {cycles} -- "
+                    f"{naive_cycles} but dispatch at {cycles} -- "
                     f"kernel equivalence violated"
                 )
         if base_cycles is None:

@@ -40,11 +40,6 @@ class FaultySlave(Component, BusSlave):
     regardless of how long each one takes.
     """
 
-    #: armed faults perturb other components mid-window: force the
-    #: simulator off the vectorized dispatch table onto the audited
-    #: idle-skip path
-    requires_full_dispatch = True
-
     def __init__(
         self,
         name: str,
@@ -143,9 +138,6 @@ class FaultyFIFO(FIFO):
     unless given explicitly.
     """
 
-    #: see FaultySlave: armed fault sites disable vectorized dispatch
-    requires_full_dispatch = True
-
     def __init__(
         self,
         name: str,
@@ -196,9 +188,6 @@ class MicrocodeCorruptor(Component):
     starts (the controller snapshots bank 0 in one burst).
     """
 
-    #: see FaultySlave: armed fault sites disable vectorized dispatch
-    requires_full_dispatch = True
-
     def __init__(
         self,
         name: str,
@@ -246,9 +235,6 @@ class ExecHang(Component):
     an infinite hang is what the controller watchdog exists for.
     """
 
-    #: see FaultySlave: armed fault sites disable vectorized dispatch
-    requires_full_dispatch = True
-
     def __init__(
         self,
         name: str,
@@ -263,6 +249,8 @@ class ExecHang(Component):
         ]
         self._suppressed = False
         self._announced: set = set()
+        # a raised end_op is due to be eaten: re-poll on the handshake
+        rac.watch(self)
 
     def _active(self) -> bool:
         for event in self._events:
@@ -315,6 +303,9 @@ class ExecHang(Component):
             if self.rac.end_op:
                 self._suppressed = True
                 self.rac.end_op = False
+                self.rac.wake_watchers()
         elif self._suppressed:
             self._suppressed = False
             self.rac.end_op = True
+            # the controller's EXEC_WAIT claim reads end_op
+            self.rac.wake_watchers()

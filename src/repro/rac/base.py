@@ -305,29 +305,29 @@ class StreamingRAC(RAC):
         bit-identical to ``consumed`` naive ticks.  Batches are bounded
         by the armed FIFO stall watches (:meth:`FIFO.pop_crossing` /
         :meth:`FIFO.push_crossing`) so a stalled controller resumes on
-        exactly the naive cycle.  Anything non-streaming (multi-port
-        RACs, overridden ``tick``) falls back to a single tick.
+        exactly the naive cycle.  Anything else is declined (0) and
+        runs as an ordinary cycle: multi-port RACs, an overridden
+        ``tick``, FIFOs that interpose on the per-word handshake (fault
+        injection), and the single-tick DONE/COMPUTE transitions, whose
+        staged pushes need the cycle's commit phase.
         """
         if (len(self.inputs) != 1 or len(self.outputs) != 1
-                or type(self).tick is not StreamingRAC.tick):
-            self.tick()
-            return 1
+                or type(self).tick is not StreamingRAC.tick
+                or type(self.inputs[0]).pop is not FIFO.pop
+                or type(self.outputs[0]).push is not FIFO.push):
+            return 0
         if self._phase is _Phase.COLLECT:
             return self._batch_collect(budget)
         if self._phase is _Phase.EMIT:
             return self._batch_emit(budget)
-        # DONE (autostart pickup) and COMPUTE (timer expiry) are
-        # single-tick transitions
-        self.tick()
-        return 1
+        return 0
 
     def _batch_collect(self, budget: int) -> int:
         fifo = self.inputs[0]
         need = self.items_in[0] - len(self._collected[0])
         avail = min(need, fifo.occupancy)
         if avail < 1:  # pragma: no cover - due implies words or done
-            self.tick()
-            return 1
+            return 0
         rate = self.input_rate
         cycles = -(-avail // rate)
         crossing = fifo.pop_crossing()
@@ -349,8 +349,7 @@ class StreamingRAC(RAC):
         remaining = self.items_out[0] - self._emitted[0]
         room = min(remaining, fifo.free_push_words)
         if room < 1:  # pragma: no cover - due implies space or done
-            self.tick()
-            return 1
+            return 0
         rate = self.output_rate
         cycles = -(-room // rate)
         crossing = fifo.push_crossing()

@@ -245,7 +245,7 @@ class FIFO(Component):
         """Pop everything currently visible (testing convenience)."""
         return self.pop_many(self.occupancy)
 
-    # -- stall watches (vectorized batch bounds) ---------------------------
+    # -- stall watches (hot batch bounds) ----------------------------------
     def set_free_watch(self, words: Optional[int]) -> None:
         """Arm (or clear) a stalled producer's free-space threshold."""
         self._min_free_watch = words

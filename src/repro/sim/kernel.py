@@ -18,55 +18,36 @@ right fidelity level for reproducing the paper's cycle counts (bus beats,
 FIFO occupancy, controller FSM states) without modelling individual
 wires.
 
-Idle skipping
--------------
+Dispatch
+--------
 
 Long waits dominate many workloads (a DFT's ``exec_wait``, SDRAM
-latency, driver backoff windows): every component is stalled, yet the
-naive stepper still pays two Python calls per component per cycle.
-Components may therefore declare *quiescence* through
-:meth:`Component.next_activity`: "my ``tick``/``commit`` are observable
-no-ops until cycle N (or until another component acts)".  When every
-registered component is quiescent, :meth:`Simulator.step` and
-:meth:`Simulator.run_until` fast-forward the clock to the earliest
-declared wake-up instead of ticking through the gap, giving each
-component the chance to reconcile its internal cycle counters via
-:meth:`Component.on_skip` so statistics stay bit-identical with the
-naive schedule.
+latency, driver backoff windows), and on transfer-heavy ones a single
+component is live while the rest are stalled.  Components therefore
+declare *quiescence* through :meth:`Component.next_activity`: "my
+``tick``/``commit`` are observable no-ops until cycle N (or until
+another component acts)".  The kernel caches each answer and only
+invalidates it when the component itself acts or another component
+*pokes* it (:meth:`Component.poke`, FIFO/IRQ/bus wake wiring).  Every
+iteration of :meth:`Simulator.step` / :meth:`Simulator.run_until`
+scans the cached claims once and then either fast-forwards a window in
+which nothing is due, grants a sole due component a batch of ticks
+(*hot mode*: no trace, :meth:`Component.tick_batch`), or executes one
+cycle touching only the due components.  Per-cycle skip reconciliation
+is deferred: a quiescent component's :meth:`Component.on_skip` runs
+lazily, just before its next real tick (or at the public
+``step``/``run_until`` boundary), covering exactly the cycles it sat
+out.
 
-The protocol and its correctness rules are documented in
-``docs/SIMULATION.md``; ``Simulator(strict=True)`` cross-checks every
-declared-idle window by running the naive stepper through it and
-asserting that nothing observable happened.
-
-Vectorized dispatch
--------------------
-
-Idle skipping only helps when *every* component is quiescent.  On
-transfer-heavy workloads one component (a streaming RAC, the bus) is
-live nearly every cycle, and the naive schedule still pays two Python
-calls per *quiescent* component per cycle.  ``Simulator(vectorized=
-True)`` (the default) adds a dispatch-table fast path: each
-component's ``next_activity()`` answer is cached and only invalidated
-when the component itself acts or another component *pokes* it
-(:meth:`Component.poke`, FIFO/IRQ/bus wake wiring), so an executed
-cycle touches only the components that are actually due.  Per-cycle
-skip reconciliation is deferred: a quiescent component's
-:meth:`Component.on_skip` runs lazily, just before its next real tick
-(or at the public ``step``/``run_until`` boundary), covering exactly
-the cycles it sat out.
-
-On top of the dispatch table, *hot mode* (vectorized dispatch with no
-trace attached) lets a component that is the only one due fast-forward
-through a run of consecutive ticks in one host call
-(:meth:`Component.tick_batch`) -- the FIFO slab transfers used by
-streaming accelerators.  Both paths are bit-exact against the naive
-schedule; the equivalence suite in ``tests/test_idle_skip.py`` gates
-naive vs idle-skip vs vectorized on clean and fault-injected seeds.
-
-Components that must observe every cycle (waveform probes, fault
-injectors) set :attr:`Component.requires_full_dispatch`; registering
-one forces the whole simulator back onto the audited idle-skip path.
+Fault injectors and waveform probes run on the same path: they declare
+their own wakes and watch (or poke) the components whose state they
+read or perturb.  The naive two-phase stepper is kept as the oracle
+(``idle_skip=False``, and ``profile_time=True``); the equivalence suite
+in ``tests/test_idle_skip.py`` gates the dispatch path against it on
+clean and fault-injected seeds, and ``strict=True`` re-executes every
+window the scan would skip through the naive stepper, asserting that
+the quiescence claims held.  The protocol and its correctness rules
+are documented in ``docs/SIMULATION.md``.
 """
 
 from __future__ import annotations
@@ -88,12 +69,6 @@ class Component:
     per-cycle counters, :meth:`on_skip`) to take part in idle skipping.
     """
 
-    #: set True on components whose mere presence must disable the
-    #: vectorized dispatch table (waveform probes sample every cycle,
-    #: fault injectors perturb other components mid-window); the
-    #: simulator then falls back to the audited idle-skip path
-    requires_full_dispatch = False
-
     #: True on components implementing :meth:`tick_batch`
     can_batch = False
 
@@ -104,7 +79,7 @@ class Component:
         #: components whose quiescence claim depends on this one's
         #: state; poked (wake-cache invalidated) whenever it changes
         self._watchers: List["Component"] = []
-        # vectorized-dispatch bookkeeping (owned by the Simulator):
+        # dispatch bookkeeping (owned by the Simulator):
         # cached next_activity() answer, its validity, the first cycle
         # whose tick/on_skip has not been accounted yet, and the cycle
         # of the last real tick (commit-phase membership marker)
@@ -175,14 +150,15 @@ class Component:
         other component wakes for at least ``budget`` cycles.  The
         implementation must be cycle-for-cycle equivalent to that many
         naive ticks and must return early (the count actually
-        consumed, at least 1) at any tick whose effects could wake
-        another component -- poking it so the kernel re-polls at the
-        exact naive cycle.
+        consumed) at any tick whose effects could wake another
+        component -- poking it so the kernel re-polls at the exact
+        naive cycle.  Returning 0 declines the grant without touching
+        any state; the kernel then runs an ordinary cycle (with its
+        commit phase).
         """
-        self.tick()
-        return 1
+        return 0
 
-    # -- vectorized-dispatch helpers ----------------------------------
+    # -- dispatch helpers ----------------------------------------------
     def poke(self) -> None:
         """Invalidate this component's cached quiescence claim.
 
@@ -209,7 +185,7 @@ class Component:
         Used before externally-driven state mutation (a CTRL register
         write flipping the controller's FSM): pending quiescent cycles
         must be charged to the *old* state before it changes.  Also
-        invalidates the wake cache.  No-op outside vectorized dispatch.
+        invalidates the wake cache.  No-op under the naive stepper.
         """
         sim = self.sim
         if sim is not None and sim._dispatching:
@@ -265,12 +241,12 @@ class ComponentProfile:
 class SimProfile:
     """Cycle accounting of one :class:`Simulator`'s execution.
 
-    ``ticked`` counts cycles executed through the naive two-phase
-    schedule, ``skipped`` counts cycles fast-forwarded over declared
-    idle windows; the two always sum to ``cycles``.  ``components`` is
+    ``ticked`` counts executed cycles (naive, dispatched or batched),
+    ``skipped`` counts cycles fast-forwarded over declared idle
+    windows; the two always sum to ``cycles``.  ``components`` is
     populated with per-component tick counts and host-time attribution
-    when the simulator was built with ``profile_time=True`` (the
-    instrumented loop costs two clock reads per component per cycle,
+    when the simulator was built with ``profile_time=True`` (which
+    times the naive stepper: two clock reads per component per cycle,
     so it is off by default).
     """
 
@@ -314,26 +290,23 @@ class Simulator:
     ----------
     trace:
         Optional :class:`repro.sim.tracing.Trace` collecting events.
+        Without one the dispatch path runs *hot*: a solely due
+        component may batch runs of consecutive ticks.
     idle_skip:
-        Enable the quiescence fast path (default True).  With it off
-        the kernel is the plain two-phase stepper; results must be
-        bit-identical either way.
-    vectorized:
-        Enable the dispatch-table fast path on top of idle skipping
-        (default True): quiescent components are not even dispatched,
-        and -- when no trace is attached ("hot mode") -- a solely
-        active component may batch runs of consecutive ticks.  Results
-        must be bit-identical to both other schedules.  Automatically
-        disabled by ``strict``/``profile_time`` and by registering any
-        component with :attr:`Component.requires_full_dispatch`.
+        Run the dispatch path (default True): quiescent components are
+        not dispatched and windows in which nothing is due are
+        fast-forwarded.  With it off the kernel is the plain two-phase
+        stepper, the oracle every other schedule must match
+        bit-for-bit.
     strict:
-        Paranoia mode: every declared-idle window is executed through
-        the naive stepper as well, asserting that no component emitted
-        a trace event or woke earlier than declared.  Used by the
-        equivalence tests; costs naive speed plus the checks.
+        Paranoia mode: every window the dispatch scan would skip is
+        executed through the naive stepper instead, asserting that no
+        component emitted a trace event or woke earlier than declared;
+        the hot batch lane stays off.  Used by the equivalence tests.
     profile_time:
         Attribute host wall-clock time to individual components (see
-        :meth:`profile`).  Slows the naive loop down; off by default.
+        :meth:`profile`).  Times the naive stepper (every component,
+        every cycle); off by default.
     """
 
     #: predicate re-check granularity inside a declared-idle window --
@@ -349,19 +322,13 @@ class Simulator:
         idle_skip: bool = True,
         strict: bool = False,
         profile_time: bool = False,
-        vectorized: bool = True,
     ) -> None:
         self.cycle = 0
         self.trace = trace
-        self.idle_skip = idle_skip
+        self.idle_skip = idle_skip and not profile_time
         self.strict = strict
         self.profile_time = profile_time
-        self.vectorized = (
-            vectorized and idle_skip and not strict and not profile_time
-        )
-        #: registered components that veto the dispatch table
-        self._full_dispatch = 0
-        #: True while inside a vectorized step/run_until epoch (skip
+        #: True while inside a dispatch step/run_until epoch (skip
         #: reconciliation is deferred per component during this time)
         self._dispatching = False
         #: name of the component that most recently emitted an event
@@ -383,8 +350,6 @@ class Simulator:
             )
         self._names.add(component.name)
         self._components.append(component)
-        if component.requires_full_dispatch:
-            self._full_dispatch += 1
         component.attach(self)
         return component
 
@@ -407,8 +372,6 @@ class Simulator:
             )
         self._components.remove(component)
         self._names.discard(component.name)
-        if component.requires_full_dispatch:
-            self._full_dispatch -= 1
         if self.last_active == component.name:
             # never let DeadlockError diagnostics name a component
             # that is no longer in the system
@@ -460,80 +423,56 @@ class Simulator:
         self.cycle += 1
         self._ticked += 1
 
-    def _wake_cycle(self) -> Optional[int]:
-        """Earliest cycle any component needs; ``self.cycle`` = active.
-
-        Returns ``None`` when every component is indefinitely idle
-        (only a deadlock bound or the caller's step target can end the
-        wait).
-        """
-        wake: Optional[int] = None
-        now = self.cycle
-        for comp in self._components:
-            target = comp.next_activity()
-            if target is None:
-                continue
-            if target <= now:
-                return now
-            if wake is None or target < wake:
-                wake = target
-        return wake
-
-    def _skip(self, cycles: int) -> None:
-        """Fast-forward over a window every component declared idle."""
-        if self.strict:
-            self._skip_checked(cycles)
-            return
-        for comp in self._components:
-            comp.on_skip(cycles)
-        self.cycle += cycles
-        self._skipped += cycles
-        self._skip_windows += 1
-
     def _skip_checked(self, cycles: int) -> None:
-        """Strict mode: tick naively through the window and assert that
-        the quiescence claims held (no events, no early wake-ups)."""
+        """Strict mode: tick naively through a window the scan would
+        skip and assert that the quiescence claims held (no events, no
+        early wake-ups).
+
+        Deferred ``on_skip`` is settled first -- the naive ticks own
+        the window -- and every cycle re-opens the epoch so each claim
+        is polled with exact accounting.
+        """
+        self._dispatch_end()
         events_before = len(self.trace) if self.trace is not None else None
         last_before = self.last_active
         for offset in range(cycles):
-            wake = self._wake_cycle()
-            if wake is not None and wake <= self.cycle:
-                raise SimulationError(
-                    f"strict idle-skip: a component turned active at "
-                    f"cycle {self.cycle}, {offset} cycles into a "
-                    f"{cycles}-cycle declared-idle window"
-                )
+            self._dispatch_begin()
+            now = self.cycle
+            for comp in self._components:
+                wake = self._poll(comp, now)
+                if wake is not None and wake <= now:
+                    raise SimulationError(
+                        f"strict audit: component {comp.name!r} "
+                        f"turned active at cycle {now}, {offset} cycles "
+                        f"into a {cycles}-cycle declared-idle window"
+                    )
             self._tick_all()
+        self._dispatch_begin()
         if events_before is not None and len(self.trace) != events_before:
             culprit = self.trace.dump().splitlines()[events_before]
             raise SimulationError(
-                "strict idle-skip: trace events emitted during a "
+                "strict audit: trace events emitted during a "
                 f"declared-idle window (first: {culprit!r})"
             )
         if self.last_active != last_before:
             raise SimulationError(
-                f"strict idle-skip: component {self.last_active!r} was "
+                f"strict audit: component {self.last_active!r} was "
                 "active during a declared-idle window"
             )
 
-    # -- vectorized dispatch ---------------------------------------------
-    @property
-    def dispatch_active(self) -> bool:
-        """True when the dispatch-table fast path is in effect."""
-        return self.vectorized and self._full_dispatch == 0
-
+    # -- dispatch ----------------------------------------------------------
     @property
     def hot(self) -> bool:
-        """True when running trace-free on the dispatch table.
+        """True when the dispatch path runs trace-free (batch lane on).
 
         Hot runs keep every counter and final state bit-exact but
         record no trace events, so span reconstruction is impossible
         for them (``repro.obs`` refuses loudly).
         """
-        return self.trace is None and self.dispatch_active
+        return self.trace is None and self.idle_skip and not self.strict
 
     def _dispatch_begin(self) -> None:
-        """Open a vectorized epoch at a public ``step``/``run_until``.
+        """Open a dispatch epoch at a public ``step``/``run_until``.
 
         Anything may have mutated component state between public calls
         (register backdoors, FIFO drains in test harnesses), so every
@@ -687,9 +626,11 @@ class Simulator:
         pending = now - sole._synced
         if pending > 0:
             sole.on_skip(pending)
+            sole._synced = now
         consumed = sole.tick_batch(horizon - now)
-        if consumed < 1:  # pragma: no cover - defensive
-            consumed = 1
+        if consumed < 1:  # declined: an ordinary cycle, commit included
+            self._dispatch_cycle()
+            return
         sole._synced = now + consumed
         sole._wake_valid = False
         self.cycle = now + consumed
@@ -698,36 +639,7 @@ class Simulator:
     def step(self, cycles: int = 1) -> None:
         """Advance the clock by ``cycles`` cycles."""
         target = self.cycle + cycles
-        if not self.idle_skip:
-            while self.cycle < target:
-                self._tick_all()
-            return
-        if self.dispatch_active:
-            self._dispatch_begin()
-            try:
-                hot = self.trace is None
-                while self.cycle < target:
-                    due, sole, horizon = self._dispatch_scan(target)
-                    if due == 0:
-                        self._dispatch_skip(horizon - self.cycle)
-                        continue
-                    if (hot and due == 1 and sole.can_batch
-                            and horizon - self.cycle >= 2):
-                        self._dispatch_batch(sole, horizon)
-                        continue
-                    self._dispatch_cycle()
-            finally:
-                self._dispatch_end()
-            return
-        while self.cycle < target:
-            wake = self._wake_cycle()
-            if wake is None:
-                self._skip(target - self.cycle)
-                return
-            if wake > self.cycle:
-                self._skip(min(wake, target) - self.cycle)
-                continue
-            self._tick_all()
+        self._run(lambda: self.cycle >= target, target)
 
     def run_until(
         self,
@@ -749,38 +661,56 @@ class Simulator:
         """
         start = self.cycle
         deadline = start + max_cycles
-        if self.idle_skip and self.dispatch_active:
-            self._dispatch_begin()
-            try:
-                hot = self.trace is None
-                while not predicate():
-                    if self.cycle >= deadline:
-                        self._raise_deadlock(max_cycles, what)
-                    bound = min(deadline, self.cycle + self.max_skip_chunk)
-                    due, sole, horizon = self._dispatch_scan(bound)
-                    if due == 0:
-                        self._dispatch_skip(horizon - self.cycle)
-                        continue
-                    if (hot and due == 1 and sole.can_batch
-                            and horizon - self.cycle >= 2):
-                        self._dispatch_batch(sole, horizon)
-                        continue
-                    self._dispatch_cycle()
-            finally:
-                self._dispatch_end()
-            return self.cycle - start
-        while not predicate():
+
+        def done() -> bool:
+            if predicate():
+                return True
             if self.cycle >= deadline:
                 self._raise_deadlock(max_cycles, what)
-            if self.idle_skip:
-                wake = self._wake_cycle()
-                bound = min(deadline, self.cycle + self.max_skip_chunk)
-                target = bound if wake is None else min(wake, bound)
-                if target > self.cycle:
-                    self._skip(target - self.cycle)
-                    continue
-            self._tick_all()
+            return False
+
+        self._run(done, deadline, self.max_skip_chunk)
         return self.cycle - start
+
+    def _run(
+        self,
+        done: Callable[[], bool],
+        limit: int,
+        chunk: Optional[int] = None,
+    ) -> None:
+        """The one loop behind ``step`` and ``run_until``.
+
+        Runs until ``done()``; no skip or batch crosses ``limit`` (nor,
+        when given, ``chunk`` cycles past the current one).  Each
+        iteration scans the cached claims once, then fast-forwards a
+        window in which nothing is due (audited naively under
+        ``strict``), grants a hot batch to a sole due component, or
+        executes one cycle.
+        """
+        if not self.idle_skip:
+            while not done():
+                self._tick_all()
+            return
+        self._dispatch_begin()
+        try:
+            hot = self.hot
+            strict = self.strict
+            while not done():
+                bound = limit if chunk is None else min(
+                    limit, self.cycle + chunk)
+                due, sole, horizon = self._dispatch_scan(bound)
+                if due == 0:
+                    if strict:
+                        self._skip_checked(horizon - self.cycle)
+                    else:
+                        self._dispatch_skip(horizon - self.cycle)
+                elif (hot and due == 1 and sole.can_batch
+                        and horizon - self.cycle >= 2):
+                    self._dispatch_batch(sole, horizon)
+                else:
+                    self._dispatch_cycle()
+        finally:
+            self._dispatch_end()
 
     def _raise_deadlock(self, max_cycles: int, what: str) -> None:
         last = self.last_active or "<none>"

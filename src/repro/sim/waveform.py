@@ -31,11 +31,6 @@ Signal = Callable[[], int]
 class WaveformProbe(Component):
     """Samples named signals into a :class:`VCDWriter` every cycle."""
 
-    #: a probe samples every cycle: its presence forces the simulator
-    #: off the vectorized dispatch table (and, via next_activity below,
-    #: disables idle skipping entirely)
-    requires_full_dispatch = True
-
     def __init__(
         self,
         name: str,
@@ -51,9 +46,9 @@ class WaveformProbe(Component):
         self.samples = 0
 
     def next_activity(self):
-        # a probe must observe every cycle: registering one disables
-        # idle skipping for the whole simulator, which is exactly what
-        # a waveform capture wants (no gaps in the dump)
+        # due every cycle: the dispatch scan never skips a window while
+        # a probe is registered, which is exactly what a waveform
+        # capture wants (no gaps in the dump)
         return self.now
 
     def tick(self) -> None:

@@ -76,15 +76,15 @@ class SoC:
     clock_mhz:
         The system clock the design must close at (the paper uses
         50 MHz); consumed by the system linter's timing check.
-    strict:
-        Enables the kernel's idle-skip audits *and* runs the
+    idle_skip / strict / profile_time / trace:
+        Forwarded to the kernel :class:`~repro.sim.kernel.Simulator`:
+        the dispatch path by default, the naive stepper with
+        ``idle_skip=False`` or ``profile_time=True`` (see
+        ``docs/SIMULATION.md``).  ``strict`` both audits every idle
+        window the dispatch scan would skip *and* runs the
         system-level integrity analyzer (:mod:`repro.soclint`) after
         elaboration, raising :class:`ConfigurationError` on any
         error-severity finding.
-    vectorized:
-        Enables the kernel's dispatch-table fast path (default; see
-        ``docs/SIMULATION.md``).  Automatically disabled by strict
-        mode, armed fault injectors and waveform probes.
     """
 
     def __init__(
@@ -101,7 +101,6 @@ class SoC:
         idle_skip: bool = True,
         strict: bool = False,
         profile_time: bool = False,
-        vectorized: bool = True,
         clock_mhz: float = 50.0,
     ) -> None:
         self.sim = Simulator(
@@ -109,7 +108,6 @@ class SoC:
             idle_skip=idle_skip,
             strict=strict,
             profile_time=profile_time,
-            vectorized=vectorized,
         )
         self.bus = SystemBus("bus", protocol=protocol)
         self.sim.add(self.bus)

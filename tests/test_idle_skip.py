@@ -1,14 +1,14 @@
-"""Idle-skip kernel: unit tests and naive-vs-fast equivalence.
+"""Dispatch kernel: unit tests and naive-vs-dispatch equivalence.
 
-The fast path is only allowed to exist because it is invisible: with
-``idle_skip=True`` every observable -- memory contents, trace events
-(including their cycle stamps), final cycle counts, per-component
-statistics -- must be bit-identical to the naive two-phase stepper.
-The first half of this file unit-tests the kernel mechanics (wake
-computation, chunked predicate re-checks, strict mode, profiling); the
-second half property-tests whole-SoC equivalence on the seeded random
-workloads of the differential harness, clean and under injected stall
-faults.
+The dispatch path is only allowed to exist because it is invisible:
+with ``idle_skip=True`` every observable -- memory contents, trace
+events (including their cycle stamps), final cycle counts,
+per-component statistics -- must be bit-identical to the naive
+two-phase stepper.  The first half of this file unit-tests the kernel
+mechanics (wake computation, chunked predicate re-checks, strict mode,
+profiling); the second half property-tests whole-SoC equivalence on
+the seeded random workloads of the differential harness, clean and
+under injected faults, traced and hot.
 """
 
 import random
@@ -16,7 +16,14 @@ import warnings
 
 import pytest
 
-from repro.faults import FaultPlan, inject_faults
+from repro.faults import (
+    FaultEvent,
+    FaultKind,
+    FaultPlan,
+    fault_signature,
+    inject_faults,
+)
+from repro.faults.harness import faulty_fifo_factory
 from repro.sim import (
     Component,
     DeadlockError,
@@ -43,6 +50,7 @@ from repro.core.registers import (
 
 N_EQUIVALENCE = 60
 N_STRICT = 8
+N_HOT_FAULTED = 12
 
 
 # -- unit-test components ---------------------------------------------------
@@ -207,18 +215,51 @@ def test_profile_time_attributes_host_time_per_component():
     assert prof.components["busy"].time_s >= 0.0
     assert "busy" in prof.render()
 
-
-def test_waveform_probe_disables_skipping():
-    from repro.sim import VCDWriter, WaveformProbe
-
-    sim = Simulator(idle_skip=True)
-    sleeper = sim.add(Sleeper())
-    vcd = VCDWriter()
-    sim.add(WaveformProbe("probe", vcd, {"wakes": lambda: len(sleeper.wakes)}))
-    sim.step(250)
+    # profile_time times the naive stepper: nothing is skipped, every
+    # component ticks every cycle, whatever idle_skip says
+    sim = Simulator(profile_time=True)
+    sim.add(Sleeper())
+    sim.step(350)
     prof = sim.profile()
     assert prof.skipped == 0
-    assert prof.ticked == 250  # every cycle sampled: gap-free dump
+    assert prof.components["sleeper"].ticks == 350
+
+
+def test_waveform_probe_disables_skipping():
+    """A probe is due every cycle: the dispatch scan never skips while
+    one is registered, and its dump equals the naive stepper's."""
+    from repro.sim import VCDWriter, WaveformProbe
+
+    dumps = []
+    for idle_skip in (False, True):
+        sim = Simulator(idle_skip=idle_skip)
+        sleeper = sim.add(Sleeper())
+        vcd = VCDWriter()
+        sim.add(WaveformProbe("probe", vcd,
+                              {"wakes": lambda: len(sleeper.wakes)}))
+        sim.step(250)
+        prof = sim.profile()
+        assert prof.skipped == 0
+        assert prof.ticked == 250  # every cycle sampled: gap-free dump
+        dumps.append(vcd.render())
+    assert dumps[1] == dumps[0]
+
+
+def test_ocp_probe_vcd_matches_naive():
+    """The standard OCP probe set on a whole-SoC run: the dispatch
+    path's VCD is byte-identical to the naive stepper's."""
+    from repro.sim import VCDWriter
+
+    case = Case(random.Random(SEED_BASE + 320_000))
+    dumps = []
+    for idle_skip in (False, True):
+        vcd = VCDWriter(timescale="20ns")
+        soc, _ = _execute(case, trace=Trace(), idle_skip=idle_skip,
+                          probe_vcd=vcd)
+        assert soc.sim.profile().skipped == 0
+        dumps.append(vcd.render())
+    assert "ctrl_state" in dumps[0]
+    assert dumps[1] == dumps[0]
 
 
 def test_default_component_is_always_active():
@@ -240,20 +281,20 @@ def test_default_component_is_always_active():
 
 # -- whole-SoC equivalence (property-style, seeded) -------------------------
 
-def _execute(case, plan=None, trace=None, **soc_kw):
+def _execute(case, plan=None, trace=None, probe_vcd=None, **soc_kw):
     """Elaborate, program and run one differential-harness workload.
 
     Returns ``(soc, residual)`` so callers can pick their own
     observables (the hot-mode tests need the live objects, not a
     rendered snapshot).
     """
+    from repro.sim.waveform import ocp_probe
+
     soc = SoC(racs=[case.rac()], trace=trace, **soc_kw)
     if plan is not None:
         inject_faults(soc, plan)
-        # armed fault injectors must deterministically force the
-        # kernel off the dispatch-table fast path, whatever the
-        # requested mode (satellite c)
-        assert not soc.sim.dispatch_active
+    if probe_vcd is not None:
+        soc.sim.add(ocp_probe("probe", probe_vcd, soc.ocp))
     soc.write_ram(IN, case.inputs)
     soc.write_ram(PROG, case.program.words())
     ocp = soc.ocp
@@ -269,78 +310,143 @@ def _execute(case, plan=None, trace=None, **soc_kw):
     return soc, previous
 
 
-def _run_case(case, idle_skip, plan=None, strict=False, vectorized=True):
-    """Run one differential-harness workload; capture all observables."""
-    trace = Trace()
-    soc, residual = _execute(case, plan=plan, trace=trace,
-                             idle_skip=idle_skip, strict=strict,
-                             vectorized=vectorized)
+def _observe(soc, case, residual, trace=None):
+    """Architectural observables of a finished run (+ its trace)."""
     ocp = soc.ocp
     return {
         "memory": soc.read_ram(OUT, case.total),
         "residual": residual,
         "cycle": soc.sim.cycle,
-        "trace": trace.dump(),
+        "trace": trace.dump() if trace is not None else None,
+        "faults": fault_signature(trace) if trace is not None else None,
         "controller_stats": ocp.controller.stats.as_dict(),
         "bus_stats": soc.bus.stats.as_dict(),
-    }, soc.sim.profile()
+    }
+
+
+def _run_case(case, idle_skip, plan=None, strict=False):
+    """Run one differential-harness workload; capture all observables."""
+    trace = Trace()
+    soc, residual = _execute(case, plan=plan, trace=trace,
+                             idle_skip=idle_skip, strict=strict)
+    return _observe(soc, case, residual, trace), soc.sim.profile()
+
+
+def _stall_plan(seed, rng):
+    return FaultPlan.random_stalls(
+        seed, n_events=rng.randint(1, 4), sites=("ram",), max_index=6,
+        max_stall=25,
+    )
 
 
 @pytest.mark.parametrize("index", range(N_EQUIVALENCE))
 def test_equivalence_random_workloads(index):
-    """Same seeded SoC workload, naive vs idle-skip vs vectorized
-    dispatch, clean and faulted: memory, residuals, traces, cycle
-    counts and statistics all equal."""
+    """Same seeded SoC workload, naive vs dispatch, clean and
+    stall-faulted: memory, residuals, traces (hence fault histories),
+    cycle counts and statistics all equal."""
     seed = SEED_BASE + 100_000 + index
     rng = random.Random(seed)
     case = Case(rng)
 
-    naive, naive_prof = _run_case(case, idle_skip=False, vectorized=False)
-    fast, fast_prof = _run_case(case, idle_skip=True, vectorized=False)
-    vec, vec_prof = _run_case(case, idle_skip=True, vectorized=True)
-    assert fast == naive, f"idle-skip diverged at seed {seed}"
-    assert vec == naive, f"vectorized dispatch diverged at seed {seed}"
+    naive, naive_prof = _run_case(case, idle_skip=False)
+    disp, disp_prof = _run_case(case, idle_skip=True)
+    assert disp == naive, f"dispatch diverged at seed {seed}"
     assert naive_prof.skipped == 0
-    assert fast_prof.ticked + fast_prof.skipped == fast_prof.cycles
-    assert vec_prof.ticked + vec_prof.skipped == vec_prof.cycles
+    assert disp_prof.ticked + disp_prof.skipped == disp_prof.cycles
 
-    plan = FaultPlan.random_stalls(
-        seed, n_events=rng.randint(1, 4), sites=("ram",), max_index=6,
-        max_stall=25,
+    plan = _stall_plan(seed, rng)
+    naive_faulted, _ = _run_case(case, idle_skip=False, plan=plan)
+    disp_faulted, faulted_prof = _run_case(case, idle_skip=True, plan=plan)
+    assert disp_faulted == naive_faulted, (
+        f"dispatch diverged under stall faults at seed {seed}"
     )
-    naive_faulted, _ = _run_case(case, idle_skip=False, plan=plan,
-                                 vectorized=False)
-    fast_faulted, _ = _run_case(case, idle_skip=True, plan=plan,
-                                vectorized=False)
-    vec_faulted, _ = _run_case(case, idle_skip=True, plan=plan,
-                               vectorized=True)
-    assert fast_faulted == naive_faulted, (
-        f"idle-skip diverged under stall faults at seed {seed}"
-    )
-    assert vec_faulted == naive_faulted, (
-        f"vectorized dispatch diverged under stall faults at seed {seed}"
-    )
+    assert disp_faulted["faults"] == naive_faulted["faults"]
+    # armed injectors no longer veto the dispatch path: the scan still
+    # fast-forwards quiescent windows around them
+    assert faulted_prof.skipped > 0
     # when a stall actually fired (short programs can finish before the
     # scheduled access index), the cycle count must have moved with it
     if "fault.stall" in naive_faulted["trace"]:
         assert naive_faulted["cycle"] != naive["cycle"]
 
 
+@pytest.mark.parametrize("duration", [50, 300])
+def test_equivalence_finite_exec_hang(duration):
+    """An ExecHang window on the dispatch path: the suppressed
+    ``end_op`` is re-asserted on the naive cycle, and the controller
+    parked in a blocking ``exec`` (no watchdog to wake it) resumes on
+    the naive cycle too."""
+    from repro.core.program import OuProgram
+    from repro.rac.scale import PassthroughRac
+    from repro.sw.driver import OuessantDriver
+
+    plan = FaultPlan(events=[
+        FaultEvent(FaultKind.HANG_EXEC, "rac", index=0, duration=duration),
+    ])
+    program = OuProgram().stream_to(1, 16)
+    program.exec_()
+    program.stream_from(2, 16).eop()
+    runs = []
+    for idle_skip in (False, True):
+        trace = Trace()
+        soc = SoC(racs=[PassthroughRac(block_size=16)], trace=trace,
+                  idle_skip=idle_skip, with_cpu=False)
+        inject_faults(soc, plan)
+        soc.write_ram(IN, list(range(16)))
+        result = OuessantDriver(soc).run(
+            program.words(), {0: PROG, 1: IN, 2: OUT}, check_status=True,
+        )
+        runs.append((result.total_cycles, soc.read_ram(OUT, 16),
+                     fault_signature(trace), trace.dump()))
+    assert runs[0][0] > duration  # completion held back by the window
+    assert runs[1] == runs[0]
+
+
+@pytest.mark.parametrize("index", range(N_HOT_FAULTED))
+def test_equivalence_hot_mode_under_stall_faults(index):
+    """The stall-faulted suite with no trace attached: armed injectors
+    run on the hot batch lane, and the end state, every live counter
+    and the injector's access count match the traced naive run."""
+    seed = SEED_BASE + 100_000 + index
+    rng = random.Random(seed)
+    case = Case(rng)
+    plan = _stall_plan(seed, rng)
+
+    trace = Trace()
+    ref_soc, ref_residual = _execute(case, plan=plan, trace=trace,
+                                     idle_skip=False)
+    hot_soc, hot_residual = _execute(case, plan=plan, trace=None)
+    assert hot_soc.sim.hot
+    assert hot_soc.sim.profile().skipped > 0
+    assert (_observe(hot_soc, case, hot_residual)
+            == _observe(ref_soc, case, ref_residual)), (
+        f"hot dispatch diverged under stall faults at seed {seed}"
+    )
+    assert (hot_soc.ocp.controller.perf.snapshot()
+            == ref_soc.ocp.controller.perf.snapshot())
+    faulty_ram = {soc: soc.sim.component("faults.ram")
+                  for soc in (ref_soc, hot_soc)}
+    assert faulty_ram[hot_soc]._access == faulty_ram[ref_soc]._access
+
+
 @pytest.mark.parametrize("index", range(N_STRICT))
 def test_equivalence_strict_mode_audits_idle_claims(index):
-    """strict=True re-executes every declared-idle window naively and
-    asserts the quiescence claims held -- on real SoC workloads."""
+    """strict=True re-executes every window the dispatch scan would
+    skip naively and asserts the quiescence claims held -- on real SoC
+    workloads, clean and with armed stall injectors."""
     seed = SEED_BASE + 200_000 + index
-    case = Case(random.Random(seed))
+    rng = random.Random(seed)
+    case = Case(rng)
     naive, _ = _run_case(case, idle_skip=False)
     strict, _ = _run_case(case, idle_skip=True, strict=True)
     assert strict == naive, f"strict-mode divergence at seed {seed}"
-    # asking for the fast path under strict must not change anything:
-    # strict mode wins and forces full dispatch
-    strict_vec, _ = _run_case(case, idle_skip=True, strict=True,
-                              vectorized=True)
-    assert strict_vec == naive, (
-        f"strict+vectorized divergence at seed {seed}"
+
+    plan = _stall_plan(seed, rng)
+    naive_faulted, _ = _run_case(case, idle_skip=False, plan=plan)
+    strict_faulted, _ = _run_case(case, idle_skip=True, strict=True,
+                                  plan=plan)
+    assert strict_faulted == naive_faulted, (
+        f"strict-mode divergence under stall faults at seed {seed}"
     )
 
 
@@ -356,10 +462,8 @@ def test_hot_mode_counters_match_trace_derived_values():
 
     case = Case(random.Random(SEED_BASE + 300_000))
     trace = Trace()
-    ref_soc, ref_residual = _execute(case, trace=trace, idle_skip=True,
-                                     vectorized=True)
-    hot_soc, hot_residual = _execute(case, trace=None, idle_skip=True,
-                                     vectorized=True)
+    ref_soc, ref_residual = _execute(case, trace=trace)
+    hot_soc, hot_residual = _execute(case, trace=None)
     assert hot_soc.sim.hot  # genuinely ran trace-free on the table
 
     assert hot_residual == ref_residual
@@ -381,15 +485,77 @@ def test_hot_mode_span_reconstruction_refuses_loudly():
     from repro.obs import reconstruct_spans
 
     case = Case(random.Random(SEED_BASE + 310_000))
-    soc, _ = _execute(case, trace=None, idle_skip=True, vectorized=True)
+    soc, _ = _execute(case, trace=None)
     assert soc.sim.hot
     with pytest.raises(SimulationError, match="hot mode"):
         reconstruct_spans(soc.sim.trace)
 
 
+def _run_streaming(idle_skip, words=64, plan=None, out_chunk=64,
+                   compute_latency=1):
+    """One passthrough OCP streaming ``words`` in and out, no trace,
+    optionally with a fault-injecting FIFO fabric."""
+    from repro.core.program import OuProgram
+    from repro.rac.scale import PassthroughRac
+
+    soc = SoC(racs=[], idle_skip=idle_skip, with_cpu=False)
+    kwargs = {}
+    if plan is not None:
+        kwargs["fifo_factory"] = faulty_fifo_factory(plan)
+    ocp = soc.add_ocp(
+        PassthroughRac(block_size=words, fifo_depth=2 * words,
+                       compute_latency=compute_latency),
+        **kwargs,
+    )
+    program = (OuProgram().stream_to(1, words).execs()
+               .stream_from(2, words, chunk=out_chunk).eop())
+    soc.write_ram(IN, list(range(words)))
+    soc.write_ram(PROG, program.words())
+    for bank, base in {0: PROG, 1: IN, 2: OUT}.items():
+        ocp.interface.write_word(REG_BANK_BASE + 4 * bank, base)
+    ocp.interface.write_word(REG_PROG_SIZE, len(program))
+    ocp.interface.write_word(REG_CTRL, CTRL_S | CTRL_IE)
+    soc.run_until(lambda: ocp.done, max_cycles=100_000)
+    return soc, {
+        "memory": soc.read_ram(OUT, words),
+        "cycle": soc.sim.cycle,
+        "controller_stats": ocp.controller.stats.as_dict(),
+        "fifo_stats": [f.stats.as_dict()
+                       for f in ocp.fifos_in + ocp.fifos_out],
+        "perf": ocp.controller.perf.snapshot(),
+    }
+
+
+def test_hot_batch_lane_routes_words_through_faulty_fifo():
+    """A FIFO that interposes on ``push`` (fault injection) must see
+    every word on the hot lane too: slab pushes would bypass it and
+    leave the flipped bit out of the output."""
+    plan = FaultPlan(events=[
+        FaultEvent(FaultKind.BIT_FLIP, "fifo.out0", index=5, bit=3),
+    ])
+    _, naive = _run_streaming(idle_skip=False, plan=plan)
+    hot_soc, hot = _run_streaming(idle_skip=True, plan=plan)
+    assert hot_soc.sim.hot
+    assert naive["memory"][5] == 5 ^ (1 << 3)
+    assert hot == naive
+
+
+@pytest.mark.parametrize("out_chunk", [1, 2, 4])
+def test_hot_batch_lane_commits_single_tick_transitions(out_chunk):
+    """The compute-expiry tick stages the first output word; a hot
+    grant that falls back to a single tick must still commit it that
+    cycle, or a controller waiting for one word resumes a cycle late."""
+    _, naive = _run_streaming(idle_skip=False, words=16,
+                              out_chunk=out_chunk, compute_latency=5)
+    hot_soc, hot = _run_streaming(idle_skip=True, words=16,
+                                  out_chunk=out_chunk, compute_latency=5)
+    assert hot_soc.sim.hot
+    assert hot == naive
+
+
 # -- overlapping DMA bursts + controller prefetch (satellite b) -------------
 
-def _run_dma_overlap(idle_skip, vectorized, seed):
+def _run_dma_overlap(idle_skip, seed):
     """OCP run with a DMA copy bursting across the same bus.
 
     The DMA engine contends with the controller's whole-ibuf PREFETCH
@@ -415,7 +581,7 @@ def _run_dma_overlap(idle_skip, vectorized, seed):
 
     trace = Trace()
     soc = SoC(racs=[case.rac()], trace=trace, idle_skip=idle_skip,
-              vectorized=vectorized, with_dma=True)
+              with_dma=True)
     soc.write_ram(IN, case.inputs)
     soc.write_ram(PROG, case.program.words())
     soc.write_ram(dma_src, payload)
@@ -448,19 +614,14 @@ def _run_dma_overlap(idle_skip, vectorized, seed):
 
 @pytest.mark.parametrize("index", range(6))
 def test_equivalence_dma_bursts_overlap_prefetch_and_xfers(index):
-    """Naive vs idle-skip vs vectorized with a DMA engine hammering
-    the bus during controller PREFETCH and data transfers: no mode may
+    """Naive vs dispatch with a DMA engine hammering the bus during
+    controller PREFETCH and data transfers: the dispatch path may not
     skip past a wake-up caused by the other master's bursts."""
     seed = SEED_BASE + 400_000 + index
-    naive, naive_prof = _run_dma_overlap(idle_skip=False,
-                                         vectorized=False, seed=seed)
-    fast, _ = _run_dma_overlap(idle_skip=True, vectorized=False,
-                               seed=seed)
-    vec, _ = _run_dma_overlap(idle_skip=True, vectorized=True,
-                              seed=seed)
+    naive, naive_prof = _run_dma_overlap(idle_skip=False, seed=seed)
+    disp, _ = _run_dma_overlap(idle_skip=True, seed=seed)
     assert naive_prof.skipped == 0
-    assert fast == naive, f"idle-skip diverged under DMA overlap ({seed})"
-    assert vec == naive, f"vectorized diverged under DMA overlap ({seed})"
+    assert disp == naive, f"dispatch diverged under DMA overlap ({seed})"
     # the contention must be real: both masters issued bus requests
     assert naive["bus_stats"].get("requests.dma", 0) > 0
     assert any(key.startswith("requests.ocp") for key in
@@ -522,15 +683,15 @@ def _run_sched_case(idle_skip, strict=False, n_ocps=4, seed=424242):
 
 
 def test_equivalence_multi_ocp_scheduler_contention():
-    """Naive vs idle-skip on a contended 4-OCP scheduler stream: every
+    """Naive vs dispatch on a contended 4-OCP scheduler stream: every
     observable -- outputs, cycle counts, traces, completion order,
     per-OCP attribution and the schedule report -- is bit-identical."""
     naive, naive_prof = _run_sched_case(idle_skip=False)
-    fast, fast_prof = _run_sched_case(idle_skip=True)
-    assert fast == naive
+    disp, disp_prof = _run_sched_case(idle_skip=True)
+    assert disp == naive
     assert naive_prof.skipped == 0
-    assert fast_prof.skipped > 0  # the fast path must actually engage
-    assert fast_prof.ticked + fast_prof.skipped == fast_prof.cycles
+    assert disp_prof.skipped > 0  # the dispatch scan must actually skip
+    assert disp_prof.ticked + disp_prof.skipped == disp_prof.cycles
 
 
 def test_equivalence_multi_ocp_strict_audits_scheduler_idle_claims():
