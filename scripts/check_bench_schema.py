@@ -64,7 +64,8 @@ MPSOC_FIELDS = (
 )
 POINT_FIELDS = (
     "ocps", "jobs", "cycles", "ops_per_sec", "words_per_cycle",
-    "speedup_vs_1", "utilization", "host_seconds",
+    "speedup_vs_1", "utilization", "host_seconds", "batched",
+    "batch_grants", "lockstep_grants",
 )
 
 

@@ -62,6 +62,7 @@ from .rac.dft import DFTRac
 from .rac.idct import IDCTRac
 from .rac.scale import PassthroughRac
 from .sim.errors import DeadlockError, SimulationError
+from .sim.kernel import SimProfile
 from .system import RAM_BASE, SoC
 
 PROG = RAM_BASE + 0x1000
@@ -479,6 +480,11 @@ class MpsocPoint:
     #: mean per-OCP busy fraction over the run
     utilization: float
     host_seconds: float
+    #: simulated cycles the kernel consumed in hot batch grants
+    batched: int
+    #: batch grants, and how many of them several RACs shared
+    batch_grants: int
+    lockstep_grants: int
 
     def as_dict(self) -> Dict[str, object]:
         return asdict(self)
@@ -517,8 +523,10 @@ def run_mpsoc_sweep(
     The same ``n_jobs``-job stream is dispatched across 1, 2, 4, 8
     identical passthrough OCPs behind one AHB arbiter; each point
     verifies every output word (passthrough is the identity), and the
-    smallest point is additionally re-run under the naive kernel to
-    re-assert cycle equivalence before any throughput is reported.
+    smallest and largest points are additionally re-run under the
+    naive kernel to re-assert cycle equivalence (the largest one with
+    the lockstep batch lane in play) before any throughput is
+    reported.
     """
     from .obs import attribute_schedule
     from .sched import Job, ThroughputScheduler
@@ -535,7 +543,9 @@ def run_mpsoc_sweep(
             for index in range(n_jobs)
         ]
 
-    def run_one(count: int, idle_skip: bool) -> Tuple[int, float]:
+    def run_one(
+        count: int, idle_skip: bool
+    ) -> Tuple[int, float, SimProfile]:
         soc = SoC(
             racs=[
                 PassthroughRac(
@@ -566,16 +576,16 @@ def run_mpsoc_sweep(
         mean_util = (
             sum(s.utilization for s in report.per_ocp) / len(report.per_ocp)
         )
-        return soc.sim.cycle, mean_util
+        return soc.sim.cycle, mean_util, soc.sim.profile()
 
     points: List[MpsocPoint] = []
     base_cycles: Optional[int] = None
     for count in ocp_counts:
         begin = time.perf_counter()
-        cycles, utilization = run_one(count, idle_skip=True)
+        cycles, utilization, profile = run_one(count, idle_skip=True)
         host_seconds = time.perf_counter() - begin
-        if count == min(ocp_counts) and verify_naive:
-            naive_cycles, _ = run_one(count, idle_skip=False)
+        if verify_naive and count in (min(ocp_counts), max(ocp_counts)):
+            naive_cycles, _, _ = run_one(count, idle_skip=False)
             if naive_cycles != cycles:
                 raise SimulationError(
                     f"mpsoc sweep: naive kernel finished at cycle "
@@ -594,6 +604,9 @@ def run_mpsoc_sweep(
             speedup_vs_1=base_cycles / cycles if cycles else 0.0,
             utilization=utilization,
             host_seconds=host_seconds,
+            batched=profile.batched,
+            batch_grants=profile.batch_grants,
+            lockstep_grants=profile.lockstep_grants,
         ))
     return MpsocSweep(
         workload="mpsoc_passthrough",
@@ -609,7 +622,8 @@ def run_mpsoc_sweep(
 def render_mpsoc(sweep: MpsocSweep) -> str:
     header = (
         f"{'ocps':>4} {'cycles':>10} {'ops/s':>12} {'words/cyc':>10} "
-        f"{'speedup':>8} {'util %':>7}"
+        f"{'speedup':>8} {'util %':>7} {'batched':>8} {'grants':>7} "
+        f"{'lockstep':>8}"
     )
     lines = [
         f"mpsoc scale-out: {sweep.jobs} x {sweep.job_words}-word "
@@ -622,6 +636,7 @@ def render_mpsoc(sweep: MpsocSweep) -> str:
         lines.append(
             f"{p.ocps:>4} {p.cycles:>10} {p.ops_per_sec:>12.0f} "
             f"{p.words_per_cycle:>10.3f} {p.speedup_vs_1:>7.2f}x "
-            f"{100 * p.utilization:>6.1f}"
+            f"{100 * p.utilization:>6.1f} {p.batched:>8} "
+            f"{p.batch_grants:>7} {p.lockstep_grants:>8}"
         )
     return "\n".join(lines)

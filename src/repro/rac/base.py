@@ -14,7 +14,7 @@ HLS-wrapper generator (:mod:`repro.rac.hls`).
 from __future__ import annotations
 
 import enum
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from ..sim.errors import ConfigurationError, RACError
 from ..sim.kernel import Component
@@ -292,18 +292,59 @@ class StreamingRAC(RAC):
             self._finish_op()
 
     # -- hot-mode batch lane -------------------------------------------------
-    #: the kernel may grant this RAC whole runs of cycles when it is
-    #: the only component due (see :meth:`tick_batch`)
+    #: the kernel may grant this RAC whole runs of cycles, alone or in
+    #: lockstep with other due batchers (see :meth:`tick_batch`)
     can_batch = True
+
+    def batch_ports(self):
+        return (*self.inputs, *self.outputs)
+
+    def _batch_plan(self, budget: int) -> Tuple[int, int]:
+        """``(cycles, words)`` of the streaming run a grant may take.
+
+        ``cycles`` (0 declines) is the run to the end of the phase or
+        the first armed FIFO stall-watch crossing, capped at
+        ``budget``; ``words`` is what those cycles move.
+        """
+        if (len(self.inputs) != 1 or len(self.outputs) != 1
+                or type(self).tick is not StreamingRAC.tick
+                or type(self.inputs[0]).pop is not FIFO.pop
+                or type(self.outputs[0]).push is not FIFO.push):
+            return 0, 0
+        if self._phase is _Phase.COLLECT:
+            fifo = self.inputs[0]
+            avail = min(self.items_in[0] - len(self._collected[0]),
+                        fifo.occupancy)
+            rate = self.input_rate
+            crossing = fifo.pop_crossing()
+        elif self._phase is _Phase.EMIT:
+            fifo = self.outputs[0]
+            avail = min(self.items_out[0] - self._emitted[0],
+                        fifo.free_push_words)
+            rate = self.output_rate
+            crossing = fifo.push_crossing()
+        else:
+            return 0, 0
+        if avail < 1:  # pragma: no cover - due implies words or space
+            return 0, 0
+        cycles = -(-avail // rate)
+        if crossing is not None:
+            cycles = min(cycles, -(-crossing // rate))
+        cycles = min(cycles, budget)
+        return cycles, min(avail, cycles * rate)
+
+    def batch_limit(self, budget: int) -> int:
+        return self._batch_plan(budget)[0]
 
     def tick_batch(self, budget: int) -> int:
         """Fast-forward up to ``budget`` consecutive streaming ticks.
 
-        Granted only in hot mode (no trace) with this RAC the sole due
-        component, so nothing can observe the intermediate per-cycle
-        FIFO states; the aggregate state after ``consumed`` cycles is
-        bit-identical to ``consumed`` naive ticks.  Batches are bounded
-        by the armed FIFO stall watches (:meth:`FIFO.pop_crossing` /
+        Granted only in hot mode (no trace), with every other due
+        component a batcher on disjoint FIFOs, so nothing can observe
+        the intermediate per-cycle FIFO states; the aggregate state
+        after ``consumed`` cycles is bit-identical to ``consumed``
+        naive ticks.  Batches are bounded by the armed FIFO stall
+        watches (:meth:`FIFO.pop_crossing` /
         :meth:`FIFO.push_crossing`) so a stalled controller resumes on
         exactly the naive cycle.  Anything else is declined (0) and
         runs as an ordinary cycle: multi-port RACs, an overridden
@@ -311,52 +352,19 @@ class StreamingRAC(RAC):
         injection), and the single-tick DONE/COMPUTE transitions, whose
         staged pushes need the cycle's commit phase.
         """
-        if (len(self.inputs) != 1 or len(self.outputs) != 1
-                or type(self).tick is not StreamingRAC.tick
-                or type(self.inputs[0]).pop is not FIFO.pop
-                or type(self.outputs[0]).push is not FIFO.push):
+        cycles, words = self._batch_plan(budget)
+        if cycles < 1:
             return 0
         if self._phase is _Phase.COLLECT:
-            return self._batch_collect(budget)
-        if self._phase is _Phase.EMIT:
-            return self._batch_emit(budget)
-        return 0
-
-    def _batch_collect(self, budget: int) -> int:
-        fifo = self.inputs[0]
-        need = self.items_in[0] - len(self._collected[0])
-        avail = min(need, fifo.occupancy)
-        if avail < 1:  # pragma: no cover - due implies words or done
-            return 0
-        rate = self.input_rate
-        cycles = -(-avail // rate)
-        crossing = fifo.pop_crossing()
-        if crossing is not None:
-            cycles = min(cycles, -(-crossing // rate))
-        cycles = min(cycles, budget)
-        words = min(avail, cycles * rate)
-        self._collected[0].extend(fifo.slab_pop_now(words))
-        self.stats.incr("words_in", words)
-        if len(self._collected[0]) >= self.items_in[0]:
-            # the tick that takes the last word also transitions
-            self._phase = _Phase.COMPUTE
-            self._compute_timer = self.compute_latency
-            self.trace_event("collect_done")
-        return cycles
-
-    def _batch_emit(self, budget: int) -> int:
+            self._collected[0].extend(self.inputs[0].slab_pop_now(words))
+            self.stats.incr("words_in", words)
+            if len(self._collected[0]) >= self.items_in[0]:
+                # the tick that takes the last word also transitions
+                self._phase = _Phase.COMPUTE
+                self._compute_timer = self.compute_latency
+                self.trace_event("collect_done")
+            return cycles
         fifo = self.outputs[0]
-        remaining = self.items_out[0] - self._emitted[0]
-        room = min(remaining, fifo.free_push_words)
-        if room < 1:  # pragma: no cover - due implies space or done
-            return 0
-        rate = self.output_rate
-        cycles = -(-room // rate)
-        crossing = fifo.push_crossing()
-        if crossing is not None:
-            cycles = min(cycles, -(-crossing // rate))
-        cycles = min(cycles, budget)
-        words = min(room, cycles * rate)
         sent = self._emitted[0]
         fifo.slab_push_now(self._to_emit[0][sent:sent + words])
         fifo.note_high_water()

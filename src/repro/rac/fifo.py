@@ -291,10 +291,11 @@ class FIFO(Component):
     def slab_push_now(self, values: List[int]) -> None:
         """Publish a slab directly (hot batch lane only; no staging).
 
-        Only legal while the pushing component is the sole component
-        executing (the kernel's batch grant): nothing else can observe
-        the intermediate states, so skipping the stage/commit round
-        trip is unobservable.  High-water marks are reconciled by the
+        Only legal inside a kernel batch grant, where this FIFO is a
+        port of exactly one executing batcher (the lockstep lane
+        requires disjoint ports): nothing else can observe the
+        intermediate states, so skipping the stage/commit round trip
+        is unobservable.  High-water marks are reconciled by the
         caller via :meth:`note_high_water` at batch end (occupancy is
         monotone within one batch direction).
         """

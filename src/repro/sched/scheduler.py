@@ -311,6 +311,9 @@ class ThroughputScheduler(Component):
         self._chains: Dict[str, int] = {}
         self._pending_meta: Dict[str, Tuple[int, int]] = {}
         self._next_batch_id = 0
+        #: queue pops so far: ``can_accept`` can only turn true after
+        #: one (see :meth:`submit_blocking`)
+        self._queue_pops = 0
         self.submitted = 0
         self.completed: Dict[str, JobResult] = {}
         self.completion_order: List[str] = []
@@ -526,10 +529,24 @@ class ThroughputScheduler(Component):
         return True
 
     def submit_blocking(self, job: Job, max_cycles: int = 5_000_000) -> None:
-        """Submit, advancing the simulation until space frees up."""
+        """Submit, advancing the simulation until space frees up.
+
+        Inside the clock only a dispatch popping a queue can open space
+        (chains and feasibility change in :meth:`submit` alone), so
+        ``can_accept`` is re-evaluated only after the pop count moved.
+        """
         while not self.submit(job):
+            seen = self._queue_pops
+
+            def space() -> bool:
+                nonlocal seen
+                if self._queue_pops == seen:
+                    return False
+                seen = self._queue_pops
+                return self.can_accept(job)
+
             self._soc.run_until(
-                lambda: self.can_accept(job), max_cycles=max_cycles,
+                space, max_cycles=max_cycles,
                 what=f"queue space for job {job.job_id}",
             )
 
@@ -617,6 +634,7 @@ class ThroughputScheduler(Component):
             if jobs and total + job.size > ARENA_WORDS:
                 break
             slot.queue.popleft()
+            self._queue_pops += 1
             jobs.append(job)
             dispatch_cycles.append(submitted)
             total += job.size

@@ -31,9 +31,14 @@ invalidates it when the component itself acts or another component
 *pokes* it (:meth:`Component.poke`, FIFO/IRQ/bus wake wiring).  Every
 iteration of :meth:`Simulator.step` / :meth:`Simulator.run_until`
 scans the cached claims once and then either fast-forwards a window in
-which nothing is due, grants a sole due component a batch of ticks
-(*hot mode*: no trace, :meth:`Component.tick_batch`), or executes one
-cycle touching only the due components.  Per-cycle skip reconciliation
+which nothing is due, grants the due components a batch of ticks, or
+executes one cycle touching only the due components.  Batch grants run
+in *hot mode* (no trace, :meth:`Component.tick_batch`): a sole due
+batcher takes as many cycles as it can, and several due batchers whose
+FIFO ports are pairwise disjoint (RACs streaming on different OCPs)
+advance in *lockstep*, all by the same number of cycles -- the
+smallest :meth:`Component.batch_limit` among them, within the horizon
+every sleeping component's wake sets.  Per-cycle skip reconciliation
 is deferred: a quiescent component's :meth:`Component.on_skip` runs
 lazily, just before its next real tick (or at the public
 ``step``/``run_until`` boundary), covering exactly the cycles it sat
@@ -145,18 +150,37 @@ class Component:
     def tick_batch(self, budget: int) -> int:
         """Execute up to ``budget`` consecutive ticks in one host call.
 
-        Hot-mode hook (``can_batch = True``): called only when this
-        component is the *sole* active one, tracing is off, and no
-        other component wakes for at least ``budget`` cycles.  The
-        implementation must be cycle-for-cycle equivalent to that many
-        naive ticks and must return early (the count actually
-        consumed) at any tick whose effects could wake another
-        component -- poking it so the kernel re-polls at the exact
-        naive cycle.  Returning 0 declines the grant without touching
+        Hot-mode hook (``can_batch = True``): called only when tracing
+        is off, no sleeping component wakes for at least ``budget``
+        cycles, and every other component due this cycle is a batcher
+        whose :meth:`batch_ports` are disjoint from this one's (it is
+        granted the same cycles in lockstep).  The implementation must
+        be cycle-for-cycle equivalent to that many naive ticks and must
+        return early (the count actually consumed) at any tick whose
+        effects could wake another component -- poking it so the
+        kernel re-polls at the exact naive cycle.  With
+        ``budget <= batch_limit(...)`` it must consume exactly
+        ``budget``.  Returning 0 declines the grant without touching
         any state; the kernel then runs an ordinary cycle (with its
         commit phase).
         """
         return 0
+
+    def batch_limit(self, budget: int) -> int:
+        """Cycles :meth:`tick_batch` would consume of ``budget``.
+
+        Side-effect free; 0 means the grant would be declined.  The
+        lockstep lane grants every due batcher the smallest limit.
+        """
+        return 0
+
+    def batch_ports(self) -> Tuple["Component", ...]:
+        """The components (FIFOs) a batch reads or writes.
+
+        Lockstep batchers must have pairwise disjoint ports: then no
+        batcher reads state another one writes during the grant.
+        """
+        return ()
 
     # -- dispatch helpers ----------------------------------------------
     def poke(self) -> None:
@@ -243,7 +267,10 @@ class SimProfile:
 
     ``ticked`` counts executed cycles (naive, dispatched or batched),
     ``skipped`` counts cycles fast-forwarded over declared idle
-    windows; the two always sum to ``cycles``.  ``components`` is
+    windows; the two always sum to ``cycles``.  ``batched`` is the
+    share of ``ticked`` consumed by hot-mode batch grants,
+    ``batch_grants`` counts those grants and ``lockstep_grants`` the
+    ones shared by several due batchers.  ``components`` is
     populated with per-component tick counts and host-time attribution
     when the simulator was built with ``profile_time=True`` (which
     times the naive stepper: two clock reads per component per cycle,
@@ -254,6 +281,9 @@ class SimProfile:
     ticked: int
     skipped: int
     skip_windows: int
+    batched: int = 0
+    batch_grants: int = 0
+    lockstep_grants: int = 0
     components: Dict[str, ComponentProfile] = field(default_factory=dict)
 
     @property
@@ -267,6 +297,9 @@ class SimProfile:
             f"  ticked        {self.ticked:>10}",
             f"  skipped       {self.skipped:>10} "
             f"({100 * self.skip_ratio:.1f}% in {self.skip_windows} windows)",
+            f"  batched       {self.batched:>10} "
+            f"(in {self.batch_grants} grants, "
+            f"{self.lockstep_grants} lockstep)",
         ]
         if self.components:
             total = sum(p.time_s for p in self.components.values())
@@ -290,8 +323,8 @@ class Simulator:
     ----------
     trace:
         Optional :class:`repro.sim.tracing.Trace` collecting events.
-        Without one the dispatch path runs *hot*: a solely due
-        component may batch runs of consecutive ticks.
+        Without one the dispatch path runs *hot*: due components with
+        disjoint FIFO ports may batch runs of consecutive ticks.
     idle_skip:
         Run the dispatch path (default True): quiescent components are
         not dispatched and windows in which nothing is due are
@@ -339,6 +372,9 @@ class Simulator:
         self._ticked = 0
         self._skipped = 0
         self._skip_windows = 0
+        self._batched = 0
+        self._batch_grants = 0
+        self._lockstep_grants = 0
         self._profiles: Dict[str, ComponentProfile] = {}
 
     # -- registration ----------------------------------------------------
@@ -395,6 +431,9 @@ class Simulator:
         self._ticked = 0
         self._skipped = 0
         self._skip_windows = 0
+        self._batched = 0
+        self._batch_grants = 0
+        self._lockstep_grants = 0
         self._profiles = {}
         for comp in self._components:
             comp.reset()
@@ -517,21 +556,22 @@ class Simulator:
         return wake
 
     def _dispatch_scan(
-        self, bound: int
-    ) -> Tuple[int, Optional[Component], int]:
+        self, bound: int, hot: bool
+    ) -> Tuple[List[Component], int, bool]:
         """One pass over the cached quiescence claims.
 
-        Returns ``(due, sole, horizon)``: how many components are due
-        this cycle, the single due component when there is exactly one
-        (the hot-batch candidate), and the earliest strictly-future
-        wake clamped to ``bound``.  The scan stops as soon as a second
-        due component turns up -- a full cycle has to run then and the
-        horizon is irrelevant (later components keep their caches and
-        are re-polled by :meth:`_dispatch_cycle` where needed).
+        Returns ``(due, horizon, batchable)``: the components due this
+        cycle in registration order, the earliest strictly-future wake
+        clamped to ``bound``, and whether the run is ``hot`` and every
+        due component can batch.  The scan stops as soon as two
+        components are due and one of them cannot batch -- a full cycle
+        has to run then and the horizon is irrelevant (later components
+        keep their caches and are re-polled by :meth:`_dispatch_cycle`
+        where needed).
         """
         now = self.cycle
-        due = 0
-        sole: Optional[Component] = None
+        due: List[Component] = []
+        batchable = hot
         horizon = bound
         for comp in self._components:
             if comp._wake_valid:
@@ -546,13 +586,14 @@ class Simulator:
             if wake is None:
                 continue
             if wake <= now:
-                due += 1
-                if due > 1:
+                due.append(comp)
+                if not comp.can_batch:
+                    batchable = False
+                if not batchable and len(due) > 1:
                     break
-                sole = comp
             elif wake < horizon:
                 horizon = wake
-        return due, sole, horizon
+        return due, horizon, batchable
 
     def _dispatch_skip(self, cycles: int) -> None:
         """Fast-forward a quiescent window; ``on_skip`` stays deferred."""
@@ -573,11 +614,6 @@ class Simulator:
         keep their naive order, and picks up components whose commit
         phase can still observe a backward poke (a FIFO staged into by
         a later producer).
-
-        In hot mode (no trace), a solely-due component supporting
-        :meth:`Component.tick_batch` may instead consume a whole run of
-        cycles, bounded by ``limit`` and by every other component's
-        declared wake.
         """
         now = self.cycle
         components = self._components
@@ -635,6 +671,57 @@ class Simulator:
         sole._wake_valid = False
         self.cycle = now + consumed
         self._ticked += consumed
+        self._batched += consumed
+        self._batch_grants += 1
+
+    def _dispatch_lockstep(
+        self, due: List[Component], horizon: int
+    ) -> None:
+        """Grant several due batchers the same cycles in one host step.
+
+        Preconditions as for :meth:`_dispatch_batch`, except that two
+        or more components are due, all of them batchers.  Their
+        :meth:`Component.batch_ports` must be pairwise disjoint, so no
+        batcher reads state another one writes; each one's limit is
+        already bounded by its own FIFO stall-watch crossings, and the
+        pokes of a last tick land at ``now + grant``, exactly where the
+        naive schedule surfaces them.  Shared ports or any declining
+        batcher run an ordinary cycle instead.
+        """
+        now = self.cycle
+        grant = horizon - now
+        ports = set()
+        for comp in due:
+            for port in comp.batch_ports():
+                if port in ports:
+                    self._dispatch_cycle()
+                    return
+                ports.add(port)
+            pending = now - comp._synced
+            if pending > 0:
+                comp.on_skip(pending)
+                comp._synced = now
+            limit = comp.batch_limit(grant)
+            if limit < 1:
+                self._dispatch_cycle()
+                return
+            if limit < grant:
+                grant = limit
+        for comp in due:
+            consumed = comp.tick_batch(grant)
+            if consumed != grant:
+                raise SimulationError(
+                    f"lockstep batch: component {comp.name!r} consumed "
+                    f"{consumed} of the {grant} cycles its batch_limit "
+                    f"allowed at cycle {now}"
+                )
+            comp._synced = now + grant
+            comp._wake_valid = False
+        self.cycle = now + grant
+        self._ticked += grant
+        self._batched += grant
+        self._batch_grants += 1
+        self._lockstep_grants += 1
 
     def step(self, cycles: int = 1) -> None:
         """Advance the clock by ``cycles`` cycles."""
@@ -684,7 +771,8 @@ class Simulator:
         when given, ``chunk`` cycles past the current one).  Each
         iteration scans the cached claims once, then fast-forwards a
         window in which nothing is due (audited naively under
-        ``strict``), grants a hot batch to a sole due component, or
+        ``strict``), grants a hot batch to the due components when all
+        of them can batch (one alone, or several in lockstep), or
         executes one cycle.
         """
         if not self.idle_skip:
@@ -698,15 +786,17 @@ class Simulator:
             while not done():
                 bound = limit if chunk is None else min(
                     limit, self.cycle + chunk)
-                due, sole, horizon = self._dispatch_scan(bound)
-                if due == 0:
+                due, horizon, batchable = self._dispatch_scan(bound, hot)
+                if not due:
                     if strict:
                         self._skip_checked(horizon - self.cycle)
                     else:
                         self._dispatch_skip(horizon - self.cycle)
-                elif (hot and due == 1 and sole.can_batch
-                        and horizon - self.cycle >= 2):
-                    self._dispatch_batch(sole, horizon)
+                elif batchable and horizon - self.cycle >= 2:
+                    if len(due) == 1:
+                        self._dispatch_batch(due[0], horizon)
+                    else:
+                        self._dispatch_lockstep(due, horizon)
                 else:
                     self._dispatch_cycle()
         finally:
@@ -724,7 +814,8 @@ class Simulator:
     def profile(self) -> SimProfile:
         """Cycle accounting: ticked vs skipped cycles, time attribution.
 
-        Cheap counters (ticked/skipped/windows) are always maintained;
+        Cheap counters (ticked/skipped/windows, batched cycles and
+        grants) are always maintained;
         per-component tick counts and host-time shares require
         ``profile_time=True``.
         """
@@ -733,6 +824,9 @@ class Simulator:
             ticked=self._ticked,
             skipped=self._skipped,
             skip_windows=self._skip_windows,
+            batched=self._batched,
+            batch_grants=self._batch_grants,
+            lockstep_grants=self._lockstep_grants,
             components={
                 name: ComponentProfile(prof.name, prof.ticks, prof.time_s)
                 for name, prof in self._profiles.items()

@@ -51,6 +51,7 @@ from repro.core.registers import (
 N_EQUIVALENCE = 60
 N_STRICT = 8
 N_HOT_FAULTED = 12
+N_HOT_MULTI_OCP = 12
 
 
 # -- unit-test components ---------------------------------------------------
@@ -630,20 +631,22 @@ def test_equivalence_dma_bursts_overlap_prefetch_and_xfers(index):
 
 # -- multi-OCP scheduler contention (satellite: scale-out equivalence) ------
 
-def _run_sched_case(idle_skip, strict=False, n_ocps=4, seed=424242):
+def _run_sched_case(idle_skip, strict=False, n_ocps=4, seed=424242,
+                    traced=True):
     """A contended multi-OCP scheduler stream; capture all observables.
 
     Four-plus coprocessors behind one arbiter, driven by the throughput
     scheduler, is the densest wake/skip interleaving the kernel sees:
     per-slot FSMs sleep on bus transfers and IRQ lines while neighbours
     stay busy, so declared-idle windows open and close constantly.
+    ``traced=False`` runs hot (the batch lanes on) and captures no trace.
     """
     from repro.obs import attribute_run, attribute_schedule
     from repro.rac.scale import PassthroughRac, ScaleRac
     from repro.sched import Job, ThroughputScheduler
     from repro.system import build_mpsoc
 
-    trace = Trace()
+    trace = Trace() if traced else None
     racs = []
     for index in range(n_ocps):
         if index % 2 == 0:
@@ -670,7 +673,7 @@ def _run_sched_case(idle_skip, strict=False, n_ocps=4, seed=424242):
     return {
         "outputs": {r.job.job_id: r.outputs for r in results},
         "cycle": soc.sim.cycle,
-        "trace": trace.dump(),
+        "trace": trace.dump() if traced else None,
         "completion_order": list(sched.completion_order),
         "busy": [slot.busy_cycles for slot in sched.slots],
         "bus_stats": soc.bus.stats.as_dict(),
@@ -701,6 +704,108 @@ def test_equivalence_multi_ocp_strict_audits_scheduler_idle_claims():
     strict, _ = _run_sched_case(idle_skip=True, strict=True, n_ocps=6,
                                 seed=515151)
     assert strict == naive
+
+
+@pytest.mark.parametrize("n_ocps", [4, 8])
+def test_equivalence_hot_multi_ocp_scheduler_lockstep(n_ocps):
+    """Hot (trace-free) dispatch vs naive on contended multi-OCP
+    streams: RACs streaming on different OCPs are granted batches in
+    lockstep, and every observable but the trace -- outputs, cycle,
+    completion order, slot busy cycles, bus stats, per-OCP attribution
+    and the schedule report -- stays bit-identical."""
+    lockstep = 0
+    for index in range(N_HOT_MULTI_OCP):
+        seed = SEED_BASE + 600_000 + 100 * n_ocps + index
+        naive, _ = _run_sched_case(idle_skip=False, n_ocps=n_ocps,
+                                   seed=seed)
+        hot, hot_prof = _run_sched_case(idle_skip=True, n_ocps=n_ocps,
+                                        seed=seed, traced=False)
+        naive["trace"] = None
+        assert hot == naive, f"hot dispatch diverged ({n_ocps} OCPs, {seed})"
+        assert hot_prof.batched > 0
+        lockstep += hot_prof.lockstep_grants
+    assert lockstep > 0  # the lockstep lane must actually fire
+
+
+class Drainer(Component):
+    """Batcher popping one word per cycle from one FIFO, logging when."""
+
+    can_batch = True
+
+    def __init__(self, name, fifo):
+        super().__init__(name)
+        self.fifo = fifo
+        self.log = []
+        fifo.watch(self)
+
+    def next_activity(self):
+        return self.now if self.fifo.occupancy else None
+
+    def tick(self):
+        if self.fifo.occupancy:
+            self.log.append((self.now, self.fifo.pop()))
+
+    def batch_ports(self):
+        return (self.fifo,)
+
+    def batch_limit(self, budget):
+        return min(self.fifo.occupancy, budget)
+
+    def tick_batch(self, budget):
+        cycles = self.batch_limit(budget)
+        words = self.fifo.slab_pop_now(cycles)
+        self.log.extend((self.now + i, word) for i, word in enumerate(words))
+        return cycles
+
+
+def _run_drainers(idle_skip, shared, words=12):
+    from repro.rac.fifo import FIFO
+
+    sim = Simulator(idle_skip=idle_skip)
+    fifos = [sim.add(FIFO(f"f{i}", depth=32)) for i in range(2)]
+    feeds = [fifos[0], fifos[0]] if shared else fifos
+    drainers = [sim.add(Drainer(f"d{i}", fifo))
+                for i, fifo in enumerate(feeds)]
+    for index, fifo in enumerate(fifos):
+        for word in range(words):
+            fifo.push(100 * index + word)
+    sim.step(40)
+    return [d.log for d in drainers], sim.profile()
+
+
+@pytest.mark.parametrize("shared", [False, True])
+def test_lockstep_lane_requires_disjoint_ports(shared):
+    """Two batchers due together advance in lockstep only on disjoint
+    FIFOs; sharing one FIFO falls back to ordinary cycles (their
+    per-cycle interleaving is observable) and stays bit-exact."""
+    naive, _ = _run_drainers(idle_skip=False, shared=shared)
+    hot, prof = _run_drainers(idle_skip=True, shared=shared)
+    assert hot == naive
+    if shared:
+        assert prof.batch_grants == 0 and prof.batched == 0
+    else:
+        assert prof.lockstep_grants == prof.batch_grants == 1
+        assert prof.batched == 12
+
+
+def test_lockstep_lane_rejects_a_batcher_ignoring_its_limit():
+    """tick_batch must consume exactly a grant within its batch_limit;
+    one that stops short is a loud kernel error, not silent drift."""
+    from repro.rac.fifo import FIFO
+
+    class Stingy(Drainer):
+        def tick_batch(self, budget):
+            return super().tick_batch(budget - 1)
+
+    sim = Simulator()
+    fifos = [sim.add(FIFO(f"f{i}", depth=32)) for i in range(2)]
+    sim.add(Drainer("d0", fifos[0]))
+    sim.add(Stingy("stingy", fifos[1]))
+    for fifo in fifos:
+        for word in range(8):
+            fifo.push(word)
+    with pytest.raises(SimulationError, match="'stingy'.*at cycle 1"):
+        sim.step(20)
 
 
 def test_profiler_surfaces_kernel_and_truncation_counters():

@@ -145,6 +145,58 @@ def test_batching_preserves_order_within_chain():
         )
 
 
+def _blocking_stream(poll_every_iteration: bool):
+    """A back-pressured stream; counts ``_feasible`` calls per blocked
+    submit.  ``poll_every_iteration`` restores the admission loop that
+    asked ``can_accept`` on every kernel iteration."""
+    sched = ThroughputScheduler(_soc(), batch_jobs=2, queue_bound=2)
+    soc = sched.soc
+    calls = 0
+    blocked = 0
+    feasible = sched._feasible
+    submit = sched.submit
+
+    def counting_feasible(job):
+        nonlocal calls
+        calls += 1
+        return feasible(job)
+
+    def counting_submit(job):
+        nonlocal blocked
+        accepted = submit(job)
+        blocked += not accepted
+        return accepted
+
+    def polling_submit_blocking(job, max_cycles=5_000_000):
+        while not sched.submit(job):
+            soc.run_until(lambda: sched.can_accept(job),
+                          max_cycles=max_cycles)
+
+    sched._feasible = counting_feasible
+    sched.submit = counting_submit
+    if poll_every_iteration:
+        sched.submit_blocking = polling_submit_blocking
+    results = sched.run_stream(_jobs(11, 48))
+    observed = [
+        (r.job.job_id, r.outputs, r.ocp_index, r.submit_cycle,
+         r.dispatch_cycle, r.complete_cycle)
+        for r in results
+    ]
+    return (observed, list(sched.completion_order), soc.sim.cycle,
+            calls / blocked)
+
+
+def test_blocked_submit_rechecks_admission_only_after_a_queue_pop():
+    """submit_blocking re-evaluates can_accept only once a dispatch has
+    popped a queue: the stream is bit-identical to polling on every
+    kernel iteration, with far fewer feasibility checks per blocked
+    submit."""
+    *polled, polled_calls = _blocking_stream(poll_every_iteration=True)
+    *gated, gated_calls = _blocking_stream(poll_every_iteration=False)
+    assert gated == polled
+    assert gated_calls < polled_calls / 4
+
+
 def test_duplicate_job_id_is_rejected():
     sched = ThroughputScheduler(_soc(2))
     job = Job("dup", "passthrough", list(range(BLOCK)))
