@@ -11,8 +11,8 @@ Two jobs **may happen in parallel** (MHP) iff they can be resident on
 *different* OCPs with no order edge between them: jobs of the same
 chain are pinned to one slot (ordered), and two jobs whose only
 candidate is the same single slot are serialized by that slot's queue.
-Neither fairness policy (round-robin, shortest-queue) restricts the
-relation -- under back-pressure either can pick any serving slot.
+No routing policy (round-robin, shortest-queue, cost-aware) restricts
+the relation -- under back-pressure each can pick any serving slot.
 
 For every MHP pair the engine intersects the placements' footprints:
 
@@ -27,6 +27,12 @@ job to a cumulative offset inside the shared arenas, so its ranges
 grow by the worst-case batch prefix.  A hazard that only exists under
 the widened footprint additionally carries the ``OU205`` warning --
 the batch concatenation, not the solo job, created the overlap.
+
+Whether two jobs may race depends only on their label-free footprint
+geometry per candidate slot, so each job is interned to a *signature*
+of that geometry and each signature pair is decided once: admission
+costs one memo lookup per pending job, and only a pair that may race
+runs the labelled range-pair loop that words the findings.
 """
 
 from __future__ import annotations
@@ -50,7 +56,11 @@ from ..sched.capability import CapabilityTable
 from ..sched.job import Job
 from ..sched.scheduler import ARENA_WORDS
 from ..verify.diagnostics import Finding, VerifyReport, make_finding
-from ..verify.footprint import ByteRange, program_footprint
+from ..verify.footprint import (
+    ByteRange,
+    ProgramFootprint,
+    program_footprint,
+)
 from .model import SlotPlan, StreamModel
 
 #: builds the microcode racelint analyzes for one job (offset 0: the
@@ -85,6 +95,28 @@ class _Placement:
     ranges: Tuple[_Range, ...]
 
 
+#: a job's label-free ranges on one slot: ``(lo, hi, reads, writes)``
+_Geometry = Tuple[Tuple[int, int, bool, bool], ...]
+#: ``(slot, geometry or None)`` over a job's candidate slots
+_Signature = Tuple[Tuple[int, Optional[_Geometry]], ...]
+
+
+def _signatures_clean(sig_a: _Signature, sig_b: _Signature) -> bool:
+    """No slot pair ``sa != sb`` overlaps where either side writes."""
+    for sa, geo_a in sig_a:
+        if geo_a is None:
+            continue
+        for sb, geo_b in sig_b:
+            if sa == sb or geo_b is None:
+                continue
+            for lo_a, hi_a, _, writes_a in geo_a:
+                for lo_b, hi_b, _, writes_b in geo_b:
+                    if ((writes_a or writes_b)
+                            and lo_a < hi_b and lo_b < hi_a):
+                        return False
+    return True
+
+
 def _ceil_div(a: int, b: int) -> int:
     return -(-a // max(1, b))
 
@@ -109,7 +141,16 @@ class RaceChecker:
         self._placements: Dict[
             Tuple[str, int, bool], Optional[_Placement]
         ] = {}
+        self._footprints: Dict[
+            str, Tuple[OuProgram, ProgramFootprint]
+        ] = {}
         self._unresolved: Dict[str, str] = {}
+        # MHP memo: job id -> interned signature id, and per signature
+        # pair (lower id first) whether it is clean
+        self._signature_ids: Dict[_Signature, int] = {}
+        self._signatures: List[_Signature] = []
+        self._job_signature: Dict[str, int] = {}
+        self._clean: Dict[Tuple[int, int], bool] = {}
         self._candidates: Dict[str, Tuple[int, ...]] = {}
         self._chain_first: Dict[str, Tuple[int, ...]] = {}
         self._solo_checked: Set[str] = set()
@@ -163,8 +204,7 @@ class RaceChecker:
         if key in self._placements:
             return self._placements[key]
         slot = self.model.slots[slot_index]
-        program = self._factory(job, self.model.chunk)
-        footprint = program_footprint(program.instructions)
+        program, footprint = self._footprint(job)
         placement: Optional[_Placement] = None
         if not footprint.bounded:
             self._unresolved.setdefault(
@@ -190,12 +230,52 @@ class RaceChecker:
         self._placements[key] = placement
         return placement
 
+    def _footprint(self, job: Job) -> Tuple[OuProgram, ProgramFootprint]:
+        """The job's program and its footprint: slot-independent."""
+        cached = self._footprints.get(job.job_id)
+        if cached is None:
+            program = self._factory(job, self.model.chunk)
+            cached = (program, program_footprint(program.instructions))
+            self._footprints[job.job_id] = cached
+        return cached
+
+    def _signature(self, job: Job) -> int:
+        """Interned id of ``job``'s widened geometry on its candidates."""
+        sig_id = self._job_signature.get(job.job_id)
+        if sig_id is not None:
+            return sig_id
+        entries: List[Tuple[int, Optional[_Geometry]]] = []
+        for index in self.candidates(job):
+            placed = self.placement(job, index, widened=True)
+            entries.append((index, None if placed is None else tuple(
+                (r.span.lo, r.span.hi, r.reads, r.writes)
+                for r in placed.ranges)))
+        signature = tuple(entries)
+        sig_id = self._signature_ids.get(signature)
+        if sig_id is None:
+            sig_id = len(self._signatures)
+            self._signatures.append(signature)
+            self._signature_ids[signature] = sig_id
+        self._job_signature[job.job_id] = sig_id
+        return sig_id
+
+    def _may_race(self, a: Job, b: Job) -> bool:
+        """Memoized per signature pair: could the pair's ranges clash?"""
+        sig_a, sig_b = self._signature(a), self._signature(b)
+        key = (sig_a, sig_b) if sig_a <= sig_b else (sig_b, sig_a)
+        clean = self._clean.get(key)
+        if clean is None:
+            clean = _signatures_clean(self._signatures[sig_a],
+                                      self._signatures[sig_b])
+            self._clean[key] = clean
+        return not clean
+
     def _build_placement(
         self,
         job: Job,
         slot: SlotPlan,
         program: OuProgram,
-        footprint: Any,
+        footprint: ProgramFootprint,
         widened: bool,
         bases: Dict[int, int],
     ) -> _Placement:
@@ -329,6 +409,8 @@ class RaceChecker:
             return
         if a.chain is not None and a.chain == b.chain:
             return  # chain pinning serializes the pair on one slot
+        if not self._may_race(a, b):
+            return
         where = f"jobs {a.job_id}/{b.job_id}"
         hit_ww: Optional[str] = None
         hit_rw: Optional[str] = None

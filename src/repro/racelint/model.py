@@ -196,10 +196,10 @@ class StreamModel:
     def candidate_slots(self, job: Job) -> Tuple[int, ...]:
         """Slots ``job`` can be resident on (routing + physical fit).
 
-        Neither scheduling policy (round-robin, shortest-queue)
-        restricts this set: under back-pressure either policy can pick
-        any serving slot with queue space, so the may-happen-in-
-        parallel relation must consider them all.
+        No routing policy (round-robin, shortest-queue, cost-aware)
+        restricts this set: under back-pressure each can pick any
+        serving slot with queue space, so the may-happen-in-parallel
+        relation must consider them all.
         """
         out: List[int] = []
         for index in self.capability.serving(job.kind):

@@ -309,6 +309,7 @@ class ThroughputScheduler(Component):
                 index, soc.ocps[index], soc.ocp_base(index), arena
             )
         self._chains: Dict[str, int] = {}
+        #: in-flight job id -> (submit, dispatch) cycle, until harvest
         self._pending_meta: Dict[str, Tuple[int, int]] = {}
         self._next_batch_id = 0
         #: queue pops so far: ``can_accept`` can only turn true after
@@ -497,10 +498,11 @@ class ThroughputScheduler(Component):
         ``sla_cycles`` set, a job that cannot meet the budget raises
         :class:`SlaRejectionError`.
         """
-        if job.job_id in self.completed or any(
-            queued.job_id == job.job_id
-            for slot in self._slots.values() for queued, _ in slot.queue
-        ):
+        if (job.job_id in self.completed
+                or job.job_id in self._pending_meta
+                or any(queued.job_id == job.job_id
+                       for slot in self._slots.values()
+                       for queued, _ in slot.queue)):
             raise ConfigurationError(f"duplicate job id {job.job_id!r}")
         if self.racecheck != "off":
             findings = self.racecheck_job(job)

@@ -205,6 +205,23 @@ def test_duplicate_job_id_is_rejected():
         sched.submit(Job("dup", "passthrough", list(range(BLOCK))))
 
 
+def test_duplicate_of_an_in_flight_job_is_rejected():
+    """A job that left its queue is still pending until harvested."""
+    soc = _soc(1)
+    sched = ThroughputScheduler(soc, batch_jobs=1)
+    assert sched.submit(Job("a", "passthrough", list(range(BLOCK))))
+    soc.run_until(lambda: sched.slots[0].state != "idle",
+                  max_cycles=1_000, what="dispatch of job a")
+    assert not sched.slots[0].queue
+    with pytest.raises(ConfigurationError, match="duplicate job id"):
+        sched.submit(Job("a", "passthrough", list(range(BLOCK))))
+    sched.drain()
+    assert sched.completion_order == ["a"]
+    # once harvested, the id stays taken
+    with pytest.raises(ConfigurationError, match="duplicate job id"):
+        sched.submit(Job("a", "passthrough", list(range(BLOCK))))
+
+
 def test_unknown_kind_is_rejected():
     sched = ThroughputScheduler(_soc(2))
     with pytest.raises(ConfigurationError, match="no OCP serves"):
