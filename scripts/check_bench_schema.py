@@ -13,6 +13,8 @@ field:
 * the optional ``mpsoc`` section: sweep parameters plus a scaling
   curve of per-OCP-count points, strictly increasing in OCP count,
   with the smallest point pinned at ``speedup_vs_1 == 1.0``;
+* an artifact with neither workload rows nor an ``mpsoc`` section
+  fails: it measured nothing;
 * ``--require-mpsoc`` makes the section mandatory and
   ``--min-mpsoc-speedup X`` fails the gate if the largest point's
   aggregate throughput regresses below ``X`` times the 1-OCP baseline;
@@ -288,6 +290,11 @@ def main(argv) -> int:
             )
         elif args.require_mpsoc:
             problems.append("input: mpsoc section is missing")
+        elif workloads == []:
+            problems.append(
+                "input: no workloads and no mpsoc section (an empty "
+                "bench run measures nothing)"
+            )
         if args.baseline is not None:
             if not os.path.exists(args.baseline):
                 problems.append(

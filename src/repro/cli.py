@@ -128,27 +128,31 @@ def _parse_bank_sizes(specs: Optional[List[str]]) -> Optional[dict]:
     return windows
 
 
-def _run_verifier(args: argparse.Namespace,
-                  bank_windows: Optional[dict]) -> int:
+def _emit(report, args: argparse.Namespace) -> int:
+    """Print an analyzer report (text, or JSON with ``--json``) and map
+    it onto the exit-code contract: 0 clean, 1 error findings."""
+    print(report.render_json() if args.json else report.render())
+    return 0 if report.clean else 1
+
+
+def _cmd_verify(args: argparse.Namespace) -> int:
     from .verify.engine import verify_program
 
     program = _load_program(args.input)
     rac = _make_rac(args.rac) if args.rac else None
     banks = set(args.banks) if args.banks else None
     extra = {}
-    budget = getattr(args, "step_budget", None)
-    if budget is not None:  # otherwise keep the engine's default
-        extra["step_budget"] = budget
+    if args.step_budget is not None:  # otherwise the engine's default
+        extra["step_budget"] = args.step_budget
     report = verify_program(
         program,
         rac=rac,
         configured_banks=banks,
-        bank_windows=bank_windows,
-        suppress=getattr(args, "suppress", None) or (),
+        bank_windows=_parse_bank_sizes(args.bank_size),
+        suppress=args.suppress or (),
         **extra,
     )
-    print(report.render_json() if args.json else report.render())
-    return 0 if report.clean else 1
+    return _emit(report, args)
 
 
 def _parse_bank_table(specs: Optional[List[str]]) -> Optional[dict]:
@@ -196,12 +200,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         budget_cycles=args.budget_cycles,
         suppress=args.suppress or (),
     )
-    print(report.render_json() if args.json else report.render())
-    return 0 if report.clean else 1
-
-
-def _cmd_verify(args: argparse.Namespace) -> int:
-    return _run_verifier(args, _parse_bank_sizes(args.bank_size))
+    return _emit(report, args)
 
 
 def _stream_int(doc: dict, key: str) -> Optional[int]:
@@ -286,8 +285,7 @@ def _cmd_racecheck(args: argparse.Namespace) -> int:
         arena_stride=_stream_int(doc, "arena_stride"),
         suppress=args.suppress or (),
     )
-    print(report.render_json() if args.json else report.render())
-    return 0 if report.clean else 1
+    return _emit(report, args)
 
 
 def _parse_latency(spec: str):
@@ -310,8 +308,6 @@ def _parse_latency(spec: str):
 
 
 def _cmd_perfbound(args: argparse.Namespace) -> int:
-    import json
-
     from .perfbound import CostModel, RacTiming, bound_program
     from .rac.base import StreamingRAC
 
@@ -333,9 +329,7 @@ def _cmd_perfbound(args: argparse.Namespace) -> int:
         sla_cycles=args.sla_cycles,
         suppress=args.suppress or (),
     )
-    print(json.dumps(bound.to_json(), indent=2) if args.json
-          else bound.render())
-    return 0 if bound.clean else 1
+    return _emit(bound, args)
 
 
 #: diagnostic family -> anchor inside docs/ANALYSIS.md
@@ -582,6 +576,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # the report options every analyzer (lint/verify/racecheck/
+    # perfbound) shares; its output goes through _emit
+    analyzer = argparse.ArgumentParser(add_help=False)
+    analyzer.add_argument("--json", action="store_true",
+                          help="machine-readable JSON report")
+    analyzer.add_argument("--suppress", nargs="*", metavar="CODE",
+                          help="diagnostic codes to suppress "
+                               "(e.g. OU301)")
+
     p = sub.add_parser("assemble", help="microcode text -> hex words")
     p.add_argument("input", help="source file ('-' for stdin)")
     p.set_defaults(fn=_cmd_assemble)
@@ -591,7 +594,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_disasm)
 
     p = sub.add_parser(
-        "lint",
+        "lint", parents=[analyzer],
         help="system-level SoC integrity analysis "
              "(exit: 0 clean, 1 errors, 2 usage)",
     )
@@ -616,14 +619,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="per-run throughput budget: the firmware's "
                         "static worst case must fit it (OU162/OU163; "
                         "needs --firmware)")
-    p.add_argument("--json", action="store_true",
-                   help="machine-readable JSON report")
-    p.add_argument("--suppress", nargs="*", metavar="CODE",
-                   help="diagnostic codes to suppress (e.g. OU141)")
     p.set_defaults(fn=_cmd_lint)
 
     p = sub.add_parser(
-        "verify",
+        "verify", parents=[analyzer],
         help="full static analysis with cross-layer contracts "
              "(exit: 0 clean, 1 errors, 2 usage)",
     )
@@ -635,14 +634,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="mapped window of a bank in words (repeatable)")
     p.add_argument("--step-budget", type=int,
                    help="flag programs executing more instructions")
-    p.add_argument("--json", action="store_true",
-                   help="machine-readable JSON report")
-    p.add_argument("--suppress", nargs="*", metavar="CODE",
-                   help="diagnostic codes to suppress (e.g. OU010)")
     p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser(
-        "racecheck",
+        "racecheck", parents=[analyzer],
         help="static concurrency-hazard analysis of a planned job "
              "stream (exit: 0 clean, 1 hazards, 2 usage)",
     )
@@ -654,14 +649,10 @@ def build_parser() -> argparse.ArgumentParser:
                         "'arena_base'?, 'arena_stride'?}")
     p.add_argument("--batch-jobs", type=int, default=None,
                    help="override the stream's batching degree")
-    p.add_argument("--json", action="store_true",
-                   help="machine-readable JSON report")
-    p.add_argument("--suppress", nargs="*", metavar="CODE",
-                   help="diagnostic codes to suppress (e.g. OU205)")
     p.set_defaults(fn=_cmd_racecheck)
 
     p = sub.add_parser(
-        "perfbound",
+        "perfbound", parents=[analyzer],
         help="static cycle-cost / WCET bound for a microcode program "
              "(exit: 0 clean, 1 errors, 2 usage)",
     )
@@ -676,10 +667,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sla-cycles", type=int, default=None,
                    help="cycle budget: emit OU304 (error) when the "
                         "worst case exceeds it")
-    p.add_argument("--json", action="store_true",
-                   help="machine-readable JSON report")
-    p.add_argument("--suppress", nargs="*", metavar="CODE",
-                   help="diagnostic codes to suppress (e.g. OU301)")
     p.set_defaults(fn=_cmd_perfbound)
 
     p = sub.add_parser(
@@ -742,11 +729,13 @@ def build_parser() -> argparse.ArgumentParser:
                         "(default: 1,2,4,8)")
     p.add_argument("--mpsoc-batch", type=int, default=4,
                    help="jobs fused per batched dispatch (default: 4)")
-    p.add_argument("--no-mpsoc", action="store_true",
-                   help="skip the MPSoC scale-out sweep")
-    p.add_argument("--only-mpsoc", action="store_true",
-                   help="run only the MPSoC sweep (skip the kernel "
-                        "workloads)")
+    # both together would write an artifact with nothing in it
+    scope = p.add_mutually_exclusive_group()
+    scope.add_argument("--no-mpsoc", action="store_true",
+                       help="skip the MPSoC scale-out sweep")
+    scope.add_argument("--only-mpsoc", action="store_true",
+                       help="run only the MPSoC sweep (skip the kernel "
+                            "workloads)")
     p.set_defaults(fn=_cmd_bench)
 
     p = sub.add_parser(

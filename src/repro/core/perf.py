@@ -30,8 +30,10 @@ window occupies ``4 * N_PERF_REGISTERS`` bytes; ``soclint`` warns
 
 Implementation note: the counters are *views* over the controller's
 cumulative :class:`~repro.sim.tracing.Stats` (snapshot-at-start
-baselines), because the profiler contract requires the cumulative
-statistics to survive across runs.
+baselines), so the statistics keep counting across runs while each
+counter reads its own run's delta.  The same baselines window the
+word and instruction counts :func:`repro.obs.attribute_run` reports
+(:meth:`PerfCounterBlock.delta`).
 """
 
 from __future__ import annotations
@@ -67,6 +69,9 @@ PERF_NAMES = (
 
 _MASK32 = 0xFFFFFFFF
 
+#: non-cycle controller totals baselined at run start, for attribution
+_RUN_TOTALS = ("instructions", "words_to_rac", "words_from_rac")
+
 
 class PerfCounterBlock:
     """The six hardware counters of one OCP.
@@ -85,14 +90,16 @@ class PerfCounterBlock:
         self._baseline = {
             key: value
             for key, value in stats.items()
-            if key.startswith("cycles.")
+            if key.startswith("cycles.") or key in _RUN_TOTALS
         }
         for fifo in self._controller.fifos_in:
             fifo.clear_high_water()
         for fifo in self._controller.fifos_out:
             fifo.clear_high_water()
 
-    def _delta(self, key: str) -> int:
+    def delta(self, key: str) -> int:
+        """Growth of stat ``key`` since run start (a ``cycles.*`` key or
+        one of :data:`_RUN_TOTALS`)."""
         return self._controller.stats.get(key) - self._baseline.get(key, 0)
 
     def value(self, index: int) -> int:
@@ -103,18 +110,18 @@ class PerfCounterBlock:
         ctrl.sync_skips()
         if index == PERF_BUSY:
             return sum(
-                self._delta(key)
+                self.delta(key)
                 for key, _ in ctrl.stats.items()
                 if key.startswith("cycles.") and key != "cycles.fifo_stall"
             )
         if index == PERF_XFER:
-            return self._delta("cycles.xfer_to") + self._delta(
+            return self.delta("cycles.xfer_to") + self.delta(
                 "cycles.xfer_from"
             )
         if index == PERF_EXECW:
-            return self._delta("cycles.exec_wait")
+            return self.delta("cycles.exec_wait")
         if index == PERF_STALL:
-            return self._delta("cycles.fifo_stall")
+            return self.delta("cycles.fifo_stall")
         if index == PERF_FIFO_IN_HW:
             return max(
                 (f.high_water_atoms for f in ctrl.fifos_in), default=0

@@ -62,6 +62,15 @@ class AttributionReport:
     breakdown: Dict[str, int] = field(default_factory=dict)
 
     @property
+    def cycles_per_word(self) -> float:
+        """Pure data-movement cost: transfer cycles minus FIFO stalls,
+        per word moved (0.0 when no word moved)."""
+        if not self.words_moved:
+            return 0.0
+        busy = max(0, self.transfer_cycles - self.stall_cycles)
+        return busy / self.words_moved
+
+    @property
     def consistent(self) -> bool:
         """The defining invariant: the three buckets tile the run."""
         return (
@@ -91,6 +100,8 @@ class AttributionReport:
             f"(transfer while RAC busy)",
             f"  moved      {self.words_moved:>10} words in "
             f"{self.instructions} instructions",
+            f"  cycles/word {self.cycles_per_word:>9.2f} "
+            f"(transfer less stalls)",
         ]
         return "\n".join(lines)
 
@@ -104,10 +115,11 @@ def attribute_run(
 ) -> AttributionReport:
     """Build the attribution of the most recent run on ``soc``.
 
-    Reads the OCP's performance-counter block (cleared at run start,
-    hence windowed to the last run); ``total_cycles`` defaults to the
-    simulator's current cycle.  Passing the reconstructed ``spans``
-    additionally fills :attr:`AttributionReport.overlap_cycles`.
+    Reads the OCP's performance-counter block and its run-start
+    baselines (cleared at run start, hence every figure is windowed to
+    the last run); ``total_cycles`` defaults to the simulator's current
+    cycle.  Passing the reconstructed ``spans`` additionally fills
+    :attr:`AttributionReport.overlap_cycles`.
     """
     ocp = soc.ocps[ocp_index]
     perf = ocp.controller.perf
@@ -127,10 +139,12 @@ def attribute_run(
                                 component=ocp.rac.name if ocp.rac else None)
         overlap = spans.overlap_cycles(xfer_spans, rac_spans)
 
+    # states this run visited (a state left over from an earlier run on
+    # the same SoC has a zero delta and is dropped)
     breakdown = {
-        key.split(".", 1)[1]: value
-        for key, value in stats.items()
-        if key.startswith("cycles.")
+        key.split(".", 1)[1]: cycles
+        for key, _ in stats.items()
+        if key.startswith("cycles.") and (cycles := perf.delta(key))
     }
     return AttributionReport(
         workload=workload,
@@ -140,9 +154,9 @@ def attribute_run(
         control_cycles=total - transfer - compute,
         stall_cycles=perf.value(PERF_STALL),
         overlap_cycles=overlap,
-        words_moved=stats.get("words_to_rac")
-        + stats.get("words_from_rac"),
-        instructions=stats.get("instructions"),
+        words_moved=perf.delta("words_to_rac")
+        + perf.delta("words_from_rac"),
+        instructions=perf.delta("instructions"),
         fifo_in_high_water=perf.value(PERF_FIFO_IN_HW),
         fifo_out_high_water=perf.value(PERF_FIFO_OUT_HW),
         breakdown=breakdown,

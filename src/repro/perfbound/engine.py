@@ -20,6 +20,7 @@ timing contract) are *refused* with OU300 rather than mis-bounded.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from math import ceil
 from typing import Dict, Iterable, Optional, Sequence
@@ -107,6 +108,9 @@ class CostBound:
         }
         payload.update(self.report.to_json())
         return payload
+
+    def render_json(self) -> str:
+        return json.dumps(self.to_json(), indent=2)
 
     def render(self) -> str:
         def row(label: str, value: Interval) -> str:

@@ -359,3 +359,51 @@ def test_diag_lists_whole_catalog(capsys):
 
 def test_diag_unknown_code_is_exit_2(capsys):
     assert main(["diag", "OU999"]) == 2
+
+
+def test_bench_rejects_no_mpsoc_with_only_mpsoc(tmp_path, monkeypatch,
+                                                capsys):
+    """Skipping both halves would write an empty artifact over the
+    default path; the flags are exclusive, a usage error (exit 2)."""
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--no-mpsoc", "--only-mpsoc"])
+    assert exc.value.code == 2
+    assert "not allowed with" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def _check_bench_schema():
+    import importlib.util
+    from pathlib import Path
+
+    path = (Path(__file__).resolve().parent.parent / "scripts"
+            / "check_bench_schema.py")
+    spec = importlib.util.spec_from_file_location("check_bench_schema",
+                                                  path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_schema_rejects_an_artifact_that_measured_nothing(
+        tmp_path, capsys):
+    import json
+    from pathlib import Path
+
+    check = _check_bench_schema()
+    empty = tmp_path / "empty.json"
+    empty.write_text(json.dumps({"bench": "simulator", "workloads": []}))
+    assert check.main(["check", str(empty)]) == 1
+    assert "no workloads and no mpsoc" in capsys.readouterr().err
+
+    # an mpsoc-only artifact (what `bench --only-mpsoc` writes) passes
+    committed = json.loads(
+        (Path(__file__).resolve().parent.parent
+         / "BENCH_simulator.json").read_text())
+    mpsoc_only = tmp_path / "mpsoc.json"
+    mpsoc_only.write_text(json.dumps({
+        "bench": "simulator", "workloads": [],
+        "mpsoc": committed["mpsoc"],
+    }))
+    assert check.main(["check", str(mpsoc_only)]) == 0

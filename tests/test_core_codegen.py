@@ -1,15 +1,10 @@
-"""Tests for microcode compression, expansion and static estimation."""
+"""Tests for microcode compression, expansion and static cycle bounds."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.codegen import (
-    as_program,
-    compress_program,
-    estimate_program_cycles,
-    expand_program,
-)
+from repro.core.codegen import as_program, compress_program, expand_program
 from repro.core.isa import OuInstruction, OuOp
 from repro.core.program import (
     OuProgram,
@@ -18,6 +13,7 @@ from repro.core.program import (
 )
 from repro.core.refmodel import ReferenceMemory, ReferenceRAC, execute_reference
 from repro.core.registers import CTRL_IE, CTRL_S, REG_BANK_BASE, REG_CTRL, REG_PROG_SIZE
+from repro.perfbound import BUCKETS, bound_program
 from repro.rac.dft import DFTRac
 from repro.rac.scale import PassthroughRac
 from repro.sim.errors import ControllerError
@@ -137,7 +133,7 @@ def test_expanded_program_runs_on_base_controller():
 
 
 # ---------------------------------------------------------------------------
-# static cycle estimation
+# static cycle bounds (perfbound)
 # ---------------------------------------------------------------------------
 
 def _simulated_cycles(program, rac):
@@ -153,40 +149,50 @@ def _simulated_cycles(program, rac):
 
 
 def test_estimate_within_tolerance_of_simulation():
+    """The static estimate is perfbound's sound interval: the simulated
+    run lands inside it, and the interval stays informative."""
     for total, latency in ((64, 10), (256, 500), (512, 2485)):
         rac = PassthroughRac(block_size=total, fifo_depth=128,
                              compute_latency=latency)
         program = (OuProgram().stream_to(1, total, chunk=64).execs()
                    .stream_from(2, total, chunk=64).eop())
         simulated = _simulated_cycles(program, rac)
-        estimate = estimate_program_cycles(
-            program.instructions, rac=rac)
-        error = abs(estimate.total - simulated) / simulated
-        assert error < 0.30, (
-            f"total={total} latency={latency}: estimate {estimate.total} "
-            f"vs simulated {simulated} ({100 * error:.0f}%)"
+        bound = bound_program(program.instructions, rac)
+        assert bound.bounded and bound.clean
+        assert bound.total.lo <= simulated <= bound.total.hi, (
+            f"total={total} latency={latency}: simulated {simulated} "
+            f"outside [{bound.total.lo}, {bound.total.hi}]"
         )
+        assert bound.tightness() < 6.0
 
 
 def test_estimate_handles_extension_programs():
     looped = figure4_looped_program(256)
     unrolled = figure4_program(256)
     rac = DFTRac(n_points=256)
-    e_loop = estimate_program_cycles(looped.instructions, rac=rac)
-    e_flat = estimate_program_cycles(unrolled.instructions, rac=rac)
-    # same data plan: estimates agree closely (prefetch size differs)
-    assert abs(e_loop.total - e_flat.total) < 0.1 * e_flat.total
+    b_loop = bound_program(looped.instructions, rac=rac)
+    b_flat = bound_program(unrolled.instructions, rac=rac)
+    # same data plan: identical transfer and compute bounds; only the
+    # control bucket differs (fetch/decode of a different program size)
+    assert b_loop.transfer == b_flat.transfer
+    assert b_loop.compute == b_flat.compute
+    for end in ("lo", "hi"):
+        loop_total = getattr(b_loop.total, end)
+        flat_total = getattr(b_flat.total, end)
+        assert abs(loop_total - flat_total) < 0.1 * flat_total
 
 
 def test_estimate_reports_breakdown():
     program = figure4_program(256)
-    estimate = estimate_program_cycles(
-        program.instructions, rac=DFTRac(n_points=256))
-    assert estimate.total == (estimate.fetch_decode + estimate.transfer
-                              + estimate.compute_exposed)
-    # collection (512 words at 1/cycle) + the 2485-cycle core latency
-    assert estimate.compute_exposed == 512 + 2485
-    assert "cycles" in str(estimate)
+    bound = bound_program(program.instructions, rac=DFTRac(n_points=256))
+    # the Fig.-4 buckets tile the total at both ends of the interval
+    for end in ("lo", "hi"):
+        assert getattr(bound.total, end) == sum(
+            getattr(bound.bucket(name), end) for name in BUCKETS
+        )
+    # 512 words drive exactly one 256-point operation
+    assert (bound.ops.lo, bound.ops.hi) == (1, 1)
+    assert "cycles" in bound.render()
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,8 @@
 import pytest
 
 from repro.analysis import measure_dft_sw, render_table_one, TableOneRow
-from repro.core.codegen import estimate_program_cycles
 from repro.core.program import figure4_program
+from repro.perfbound import CostModel, bound_program
 from repro.rac.hls import HLSInterfaceSpec, wrap_function
 from repro.rac.dft import DFTRac
 from repro.rac.scale import PassthroughRac
@@ -51,11 +51,14 @@ def test_library_run_plan_checks_input_lengths():
 def test_estimate_without_prefetch():
     program = figure4_program(64)
     rac = DFTRac(n_points=64)
-    with_prefetch = estimate_program_cycles(program.instructions, rac=rac,
-                                            prefetch=True)
-    without = estimate_program_cycles(program.instructions, rac=rac,
-                                      prefetch=False)
-    assert without.fetch_decode < with_prefetch.fetch_decode
+    with_prefetch = bound_program(program.instructions, rac,
+                                  model=CostModel(prefetch=True))
+    without = bound_program(program.instructions, rac,
+                            model=CostModel(prefetch=False))
+    # without the instruction buffer every fetch crosses the bus: the
+    # control bucket (fetch/decode) grows, transfer is untouched
+    assert without.control.lo > with_prefetch.control.hi
+    assert without.transfer == with_prefetch.transfer
 
 
 def test_interface_window_size():

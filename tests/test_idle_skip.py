@@ -12,7 +12,6 @@ under injected faults, traced and hot.
 """
 
 import random
-import warnings
 
 import pytest
 
@@ -809,12 +808,13 @@ def test_lockstep_lane_rejects_a_batcher_ignoring_its_limit():
 
 
 def test_profiler_surfaces_kernel_and_truncation_counters():
-    """profile_run carries skip accounting and warns on truncated
-    traces (satellite: no silent analysis of incomplete logs)."""
+    """The kernel profile carries skip accounting, the attribution
+    stays whole on a truncated trace, and span reconstruction refuses
+    it loudly (no silent analysis of incomplete logs)."""
     from repro.core.program import OuProgram
+    from repro.obs import attribute_run, reconstruct_spans
     from repro.rac.scale import PassthroughRac
     from repro.sw.driver import OuessantDriver
-    from repro.sw.profiler import profile_run
 
     trace = Trace(capacity=5)  # deliberately far too small
     soc = SoC(racs=[PassthroughRac(block_size=4)], trace=trace)
@@ -824,11 +824,13 @@ def test_profiler_surfaces_kernel_and_truncation_counters():
     driver = OuessantDriver(soc)
     result = driver.run(program.words(), banks={0: PROG, 1: IN, 2: OUT})
     assert trace.truncated
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        profile = profile_run(soc, result)
-    assert any("dropped" in str(w.message) for w in caught)
-    assert profile.trace_dropped == trace.dropped
-    assert profile.kernel_skipped == soc.sim.profile().skipped
-    assert profile.kernel_ticked + profile.kernel_skipped == soc.sim.cycle
-    assert "TRACE TRUNCATED" in profile.render()
+    kernel = soc.sim.profile()
+    assert kernel.skipped > 0
+    assert kernel.ticked + kernel.skipped == soc.sim.cycle
+    assert "skipped" in kernel.render()
+    report = attribute_run(soc, total_cycles=result.total_cycles)
+    assert report.consistent
+    assert report.words_moved == 8
+    with pytest.raises(SimulationError,
+                       match=f"{trace.dropped} events dropped"):
+        reconstruct_spans(trace)

@@ -13,6 +13,7 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.core.program import OuProgram
 from repro.core.perf import (
     N_PERF_REGISTERS,
     PERF_BASE,
@@ -27,7 +28,9 @@ from repro.obs import (
     to_vcd,
 )
 from repro.obs.workloads import PROFILE_WORKLOADS
+from repro.rac.scale import PassthroughRac
 from repro.sw.driver import OuessantDriver
+from repro.system import RAM_BASE, SoC
 
 WORKLOAD_MATRIX = [
     (name, idle_skip)
@@ -103,6 +106,30 @@ def test_attribution_identical_across_kernel_modes(finished_runs):
                 total_cycles=run.total_cycles,
             ).as_dict()
         assert reports[True] == reports[False]
+
+
+def test_attribution_is_windowed_to_the_last_run():
+    """Back-to-back identical runs on one SoC report identical
+    attributions: words, instructions and the per-state breakdown are
+    the last run's, like the transfer/compute/stall counters."""
+    soc = SoC(racs=[PassthroughRac(block_size=16)])
+    driver = OuessantDriver(soc)
+    program = OuProgram().stream_to(1, 16).execs().stream_from(2, 16).eop()
+    banks = {0: RAM_BASE + 0x1000, 1: RAM_BASE + 0x2000,
+             2: RAM_BASE + 0x3000}
+    soc.write_ram(banks[1], list(range(16)))
+    reports = []
+    for _ in range(2):
+        result = driver.run(program.words(), banks)
+        reports.append(attribute_run(
+            soc, total_cycles=result.total_cycles).as_dict())
+    assert reports[0] == reports[1]
+    second = reports[1]
+    assert second["words_moved"] == 32
+    assert second["instructions"] == len(program)
+    assert (second["breakdown"]["xfer_to"]
+            + second["breakdown"]["xfer_from"]
+            == second["transfer_cycles"])
 
 
 # ---------------------------------------------------------------------------

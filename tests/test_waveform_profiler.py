@@ -1,12 +1,12 @@
-"""Waveform probe (VCD) and run profiler coverage."""
+"""Waveform probe (VCD) and run report (attribution) coverage."""
 
 from repro.core.program import OuProgram
+from repro.obs import attribute_run
 from repro.rac.scale import PassthroughRac
 from repro.sim.kernel import Component, Simulator
 from repro.sim.tracing import VCDWriter
 from repro.sim.waveform import WaveformProbe, ocp_probe
 from repro.sw.driver import OuessantDriver
-from repro.sw.profiler import profile_run
 from repro.system import RAM_BASE, SoC
 
 PROG = RAM_BASE + 0x1000
@@ -100,32 +100,32 @@ def test_profile_breakdown_sums_to_total():
             + result.ack_cycles) == result.total_cycles
     assert result.hardware_cycles == result.total_cycles  # no OS model here
 
-    profile = profile_run(soc, result)
-    assert profile.total_cycles == result.total_cycles
-    assert profile.words_to_rac == BLOCK
-    assert profile.words_from_rac == BLOCK
-    assert profile.words_total == 2 * BLOCK
+    report = attribute_run(soc, total_cycles=result.total_cycles)
+    assert report.total_cycles == result.total_cycles
+    assert report.consistent
+    stats = soc.ocp.controller.stats
+    assert stats["words_to_rac"] == BLOCK
+    assert stats["words_from_rac"] == BLOCK
+    assert report.words_moved == 2 * BLOCK
     # the controller accounts its cycles by state; those states all fit
-    # inside the measured window
-    assert profile.transfer_cycles > 0
-    assert 0 < sum(profile.controller_states.values()) <= result.total_cycles
-    assert profile.cycles_per_word > 0
-    assert 0.0 < profile.bus_utilization <= 1.0
-    assert profile.max_fifo_in_atoms > 0
+    # inside the measured window (fifo_stall overlaps the xfer states)
+    assert report.transfer_cycles > 0
+    states = sum(cycles for state, cycles in report.breakdown.items()
+                 if state != "fifo_stall")
+    assert 0 < states <= result.total_cycles
+    assert report.cycles_per_word > 0
+    assert 0.0 < soc.bus.utilization() <= 1.0
+    assert report.fifo_in_high_water > 0
 
-    rendered = profile.render()
-    assert f"({BLOCK} in / {BLOCK} out)" in rendered
+    rendered = report.render()
+    assert f"{2 * BLOCK} words in" in rendered
     assert "cycles/word" in rendered
 
 
 def test_profile_handles_empty_run():
-    from repro.sw.driver import RunResult
-
     soc = SoC(racs=[PassthroughRac(block_size=BLOCK)])
-    profile = profile_run(
-        soc, RunResult(total_cycles=0, config_cycles=0,
-                       compute_cycles=0, ack_cycles=0)
-    )
-    assert profile.words_total == 0
-    assert profile.cycles_per_word == 0.0
-    profile.render()  # must not raise on all-zero stats
+    report = attribute_run(soc, total_cycles=0)
+    assert report.words_moved == 0
+    assert report.cycles_per_word == 0.0
+    assert report.consistent
+    report.render()  # must not raise on all-zero stats
