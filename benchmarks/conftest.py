@@ -11,6 +11,7 @@ regenerated rows.
 
 from __future__ import annotations
 
+import os
 import random
 
 import pytest
@@ -28,6 +29,19 @@ def q15_signal():
         return re, im
 
     return make
+
+
+@pytest.fixture(scope="session")
+def bench_out(tmp_path_factory) -> str:
+    """Path the bench tests write their JSON report to.
+
+    ``REPRO_BENCH_OUT`` when set, else a file in the session's pytest
+    temp directory: ``repro bench`` is the only writer of the committed
+    ``BENCH_simulator.json``.
+    """
+    return os.environ.get("REPRO_BENCH_OUT") or str(
+        tmp_path_factory.mktemp("bench") / "BENCH_simulator.json"
+    )
 
 
 def once(benchmark, fn):

@@ -6,12 +6,11 @@ in the simulation kernel show up.  They use pytest-benchmark
 conventionally (multiple rounds, statistics meaningful).
 
 ``test_idle_skip_speedup`` additionally writes the machine-readable
-``BENCH_simulator.json`` artifact (override the path with the
-``REPRO_BENCH_OUT`` environment variable) comparing naive ticking with
-the dispatch path per workload; CI uploads it per run.
+bench report comparing naive ticking with the dispatch path per
+workload, to the ``REPRO_BENCH_OUT`` environment variable's path (CI
+uploads it per run) or else to a pytest temp file; the committed
+``BENCH_simulator.json`` is written by ``repro bench`` alone.
 """
-
-import os
 
 from repro.bench import run_benchmarks, write_report
 from repro.core.program import OuProgram
@@ -84,7 +83,7 @@ def test_ocp_loopback_cycles_per_second(benchmark):
     benchmark.extra_info["simulated_cycles"] = cycles
 
 
-def test_idle_skip_speedup():
+def test_idle_skip_speedup(bench_out):
     """Naive vs dispatch kernel across the bench workloads + JSON
     artifact.
 
@@ -95,9 +94,7 @@ def test_idle_skip_speedup():
     on loaded CI hosts.
     """
     results = run_benchmarks()
-    write_report(
-        results, os.environ.get("REPRO_BENCH_OUT", "BENCH_simulator.json")
-    )
+    write_report(results, bench_out)
     by_name = {r.workload: r for r in results}
     stall = by_name["stall_heavy"]
     assert stall.skip_ratio > 0.9

@@ -215,21 +215,13 @@ class CPU(Component):
             self._decoded[pc] = instr
         return instr
 
-    def _mem_index(self, address: int) -> Optional[int]:
-        if self.memory is None:
-            return None
-        offset = address - self.memory_base
-        if 0 <= offset < self.memory.size_bytes:
-            return offset >> 2
-        return None
-
     def _load_word(self, address: int) -> int:
-        index = self._mem_index(address)
-        if index is None:
+        offset = address - self.memory_base
+        if self.memory is None or not 0 <= offset < self.memory.size_bytes:
             raise SimulationError(
                 f"{self.name}: fetch/load outside memory at {address:#x}"
             )
-        return self.memory.words[index]
+        return self.memory.load_index(offset >> 2)
 
     def _execute(self, instr: Instruction, allow_mmio: bool) -> int:
         """Execute one instruction; returns its cycle cost.
@@ -245,19 +237,20 @@ class CPU(Component):
             self.set_reg(instr.rd, regs[instr.rs1] + instr.imm)
         elif op is Op.LW:
             address = (regs[instr.rs1] + instr.imm) & _MASK
-            index = self._mem_index(address)
-            if index is not None:
-                self.set_reg(instr.rd, self.memory.words[index])
+            # the direct-memory window check, inline: loads and stores
+            # dominate the software baselines
+            offset = address - self.memory_base
+            if (self.memory is not None
+                    and 0 <= offset < self.memory.size_bytes):
+                self.set_reg(instr.rd, self.memory.load_index(offset >> 2))
             else:
                 self._mmio(AccessKind.READ, address, instr.rd, allow_mmio)
         elif op is Op.SW:
             address = (regs[instr.rs1] + instr.imm) & _MASK
-            index = self._mem_index(address)
-            if index is not None:
-                if instr.rd == 0:
-                    self.memory.words[index] = 0
-                else:
-                    self.memory.words[index] = regs[instr.rd]
+            offset = address - self.memory_base
+            if (self.memory is not None
+                    and 0 <= offset < self.memory.size_bytes):
+                self.memory.store_index(offset >> 2, regs[instr.rd])
             else:
                 self._mmio(AccessKind.WRITE, address, instr.rd, allow_mmio)
         elif op is Op.ADD:

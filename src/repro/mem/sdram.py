@@ -25,7 +25,7 @@ from .memory import Memory
 
 
 class SDRAM(Memory):
-    """Open-row DRAM latency on top of the flat word array.
+    """Open-row DRAM latency on top of the paged word array.
 
     Parameters
     ----------
